@@ -10,10 +10,9 @@ import (
 )
 
 // closureScratch is the pooled working set of one KnowClosureInto call:
-// an epoch-stamped membership filter over vertex IDs (same idiom as the
-// relang product-search scratch — marking is O(1) and starting a closure
-// is O(1) after the first use at a given size) plus reusable candidate
-// buffers for the u1/un subject sets of Theorem 3.2.
+// an epoch-stamped membership filter over vertex IDs (marking is O(1) and
+// starting a closure is O(1) after the first use at a given size) plus
+// reusable candidate buffers for the u1/un subject sets of Theorem 3.2.
 type closureScratch struct {
 	stamp []uint32
 	epoch uint32
@@ -139,19 +138,11 @@ func KnowFClosureInto(g *graph.Graph, x graph.ID, dst []graph.ID, b *budget.Budg
 	cs.reset(g.Cap())
 	cs.mark(x)
 	dst = append(dst, x)
-	snap := g.Snapshot()
-	outDst, outLbl := snap.Out(x)
-	for j, y := range outDst {
-		if snap.Label(outLbl[j]).Implicit.Has(rights.Read) && cs.mark(y) {
+	knowFBaseCases(g.Snapshot(), x, func(y graph.ID) {
+		if cs.mark(y) {
 			dst = append(dst, y)
 		}
-	}
-	inDst, inLbl := snap.In(x)
-	for j, y := range inDst {
-		if snap.Label(inLbl[j]).Implicit.Has(rights.Write) && cs.mark(y) {
-			dst = append(dst, y)
-		}
-	}
+	})
 	cs.one[0] = x
 	_, _, err := relang.SearchVisit(g, admissibleNFA, cs.one[:], relang.Options{View: relang.ViewCombined, Budget: b}, func(v graph.ID) {
 		if cs.mark(v) {
@@ -163,4 +154,22 @@ func KnowFClosureInto(g *graph.Graph, x graph.ID, dst []graph.ID, b *budget.Budg
 		return dst, err
 	}
 	return dst, nil
+}
+
+// knowFBaseCases streams the vertices can•know•f reaches from x by the
+// definition's base case alone: an implicit read x→y or an implicit write
+// y→x witnesses the flow regardless of vertex kinds.
+func knowFBaseCases(snap *graph.Snapshot, x graph.ID, add func(graph.ID)) {
+	outDst, outLbl := snap.Out(x)
+	for j, y := range outDst {
+		if snap.Label(outLbl[j]).Implicit.Has(rights.Read) {
+			add(y)
+		}
+	}
+	inDst, inLbl := snap.In(x)
+	for j, y := range inDst {
+		if snap.Label(inLbl[j]).Implicit.Has(rights.Write) {
+			add(y)
+		}
+	}
 }

@@ -37,40 +37,63 @@ import (
 //   - know[x]: the can•know closure of x (exactly KnowClosure's set).
 //   - knowf[x]: the can•know•f closure of x (KnowFClosure's set).
 //
-// Rows live in pooled epoch-stamped relang.VertexSets; a dropped row's
-// set returns to the pool.
+// Each row keeps its members in a relang.Bitset, and the rows a write
+// can extend also keep the product search that built them, as a
+// relang.Resumable: one visited bit per (vertex, NFA state).
 //
 // # Maintenance
 //
 // Monotone mutations can only grow a closure, and each family reads a
 // known alphabet: bridge chains and t*/t*g spans read explicit t/g only;
 // link chains and rw-spans read explicit r/w/t/g; admissible paths read
-// r/w in either view. Patch therefore drops exactly the families whose
-// alphabet a new edge touches (an add outside every alphabet, and any
-// removal of uninterpreted rights, is absorbed as a no-op) and the next
-// query lazily rebuilds its row under that query's budget — O(1)
-// amortized: one budgeted build per (row, mutation era), bit-tests after.
-// Removals within the alphabets and destructive changes make Patch
-// return false; the registry then calls Invalidate and every verdict
-// falls back to the budgeted from-scratch build — never a stale answer.
+// r/w in either view. Patch handles each change in one of three ways.
+//
+//   - Extend. An explicit r/w add, an implicit r/w add or a vertex add
+//     resumes the live rows' searches in place: from every visited
+//     (src, q) with a forward transition on an added right to (dst, q′),
+//     from every visited (dst, q) with a reverse one to (src, q′), under
+//     the usual guards, then on to whatever those states open up. That is
+//     exactly the fixpoint a rebuild would reach, at a cost that follows
+//     the size of the change: the know family's link rows, span rows and
+//     per-vertex spanner searches and the knowf rows grow in place and
+//     stay warm. Subjects newly accepted into a link row become new seeds
+//     of its island's span row; spanners newly reached by a know row add
+//     references to more island span rows. A vertex add only appends:
+//     bitsets read an absent tail as unset. The searches run over the
+//     graph's live adjacency, so a write builds no CSR snapshot, and a
+//     family with no live rows costs nothing.
+//   - Drop. An explicit t/g add can merge tg-islands, which re-keys the
+//     island rows: it drops the share and know families, and the next
+//     query lazily rebuilds its row under that query's budget. An
+//     extension may also grow a row by at most the row's own size; past
+//     that Patch drops the row (for an island row, its whole family), as
+//     it does a know row whose new spanner lands in an island with no
+//     live span row. An add outside every alphabet, and any removal of
+//     uninterpreted rights, is absorbed as a no-op.
+//   - Invalidate. Removals within the alphabets and destructive changes
+//     make Patch return false; the registry then calls Invalidate and
+//     every verdict falls back to the budgeted from-scratch build — never
+//     a stale answer.
 //
 // # Concurrency
 //
 // Patch and Invalidate run under the graph's mutation lock with no
-// concurrent readers (the graph.SetRecorder contract). Queries may run
-// concurrently with each other; two readers racing to build the same row
-// both compute it, one publishes, the loser's set returns to the pool
-// (the qcache double-compute idiom). Retired sets are only pooled when no
-// reader can hold them: replaced rows are always stale, stale rows are
-// never handed to readers, and staleness only arises under the mutation
-// lock.
+// concurrent readers (the graph.SetRecorder contract), so extending rows
+// in place never races a reader. Queries may run concurrently with each
+// other; two readers racing to build the same row both compute it, one
+// publishes and the other adopts it (the qcache double-compute idiom). A
+// row is warm iff its generation matches its family's; every Patch that
+// touches a family bumps the generation (restamping the rows it
+// extended), so a build that straddled a mutation is served but never
+// published.
 type ReachIndex struct {
 	g *graph.Graph
 
 	mu sync.Mutex
 	// Per-family build generations: a row is warm iff row.gen matches its
-	// family's generation. Bumped (with the family's rows dropped) when a
-	// mutation touches the family's alphabet; all bumped by Invalidate.
+	// family's generation. Bumped by every change the family sees, which
+	// restamps the rows it extends and drops the rest; all bumped by
+	// Invalidate.
 	shareGen uint64
 	knowGen  uint64
 	knowfGen uint64
@@ -89,34 +112,55 @@ type ReachIndex struct {
 }
 
 // reachRow is one closure row: the generation it was built under and its
-// member set. Island rows additionally keep the member list as search
-// seeds for the rows built on top of them. Per-vertex share and know rows
-// carry no set of their own: their membership is the union of the
-// per-island span rows they reference (spans), so N query vertices whose
-// spanners land in the same islands share one terminal-span computation
-// instead of running N.
+// member set. Island rows additionally keep their island root and, for
+// chain rows, the member subjects as search seeds for the span rows built
+// on top of them. Per-vertex share and know rows carry no set of their
+// own: their membership is the union of the per-island span rows they
+// reference (spans), so N query vertices whose spanners land in the same
+// islands share one terminal-span computation instead of running N.
+// search is the row's product search, kept by the families a write
+// extends (know and knowf) and nil in the share family.
 type reachRow struct {
-	gen   uint64
-	set   *relang.VertexSet
-	ids   []graph.ID
-	spans []*reachRow
+	gen    uint64
+	set    *relang.Bitset
+	root   graph.ID
+	ids    []graph.ID
+	spans  []*reachRow
+	search *relang.Resumable
 }
 
 // has reports membership across the row's own set and its referenced
 // span rows. Span rows are only referenced by rows of the same family
 // generation, and families drop together — a live row never reaches a
-// pooled span set.
+// dropped span row.
 func (r *reachRow) has(v graph.ID) bool {
-	if r.set != nil && r.set.Has(v) {
+	if r.set != nil && r.set.HasVertex(v) {
 		return true
 	}
 	for _, sp := range r.spans {
-		if sp.set.Has(v) {
+		if sp.set.HasVertex(v) {
 			return true
 		}
 	}
 	return false
 }
+
+// refs reports whether the row references the span row of island root.
+func (r *reachRow) refs(root graph.ID) bool {
+	for _, sp := range r.spans {
+		if sp.root == root {
+			return true
+		}
+	}
+	return false
+}
+
+// growLimit is the most product states one change may leave a row's
+// search holding: its size before the change plus as much again — and
+// never less than one more vertex's worth of automaton states, so a tiny
+// row can still take in the vertex a create adds. A larger growth drops
+// the row, as its rebuild would cost about as much.
+func growLimit(s *relang.Resumable) int { return s.Len() + max(s.Len(), s.States()) }
 
 // reachRWTG is the union of every alphabet a reach row reads.
 var reachRWTG = rights.RW.Union(rights.TG)
@@ -140,46 +184,32 @@ func NewReachIndex(g *graph.Graph) *ReachIndex {
 // Name identifies the index in the derived registry.
 func (ix *ReachIndex) Name() string { return "reach_closure" }
 
-// Patch implements the derived-index contract: monotone adds drop only
-// the row families whose chain alphabet the new rights touch, removals
-// outside every alphabet are no-ops, and anything else (in-alphabet
-// removals, destructive changes) reports false so the registry
-// invalidates. Called under the graph's mutation lock.
+// Patch implements the derived-index contract: r/w adds and vertex adds
+// extend the live rows in place, t/g adds drop the families whose island
+// keys they may change, removals outside every alphabet are no-ops, and
+// anything else (in-alphabet removals, destructive changes) reports false
+// so the registry invalidates. Called under the graph's mutation lock.
 func (ix *ReachIndex) Patch(c graph.Change) bool {
 	switch c.Kind {
 	case graph.ChangeAddVertex:
-		// A fresh vertex has no edges: existing closures are unchanged, and
-		// rows sized before it correctly read it as absent.
+		// A fresh vertex has no edges, so no closure changes; every row's
+		// bitsets read its IDs as unset until an extension reaches it.
 		return true
-	case graph.ChangeAddExplicit:
-		ix.mu.Lock()
-		if c.Set.HasAny(rights.TG) {
-			ix.shareGen++
-			ix.dropLocked(ix.share)
-			ix.dropLocked(ix.chain)
-			ix.dropLocked(ix.shareSpan)
-		}
-		if c.Set.HasAny(reachRWTG) {
-			ix.knowGen++
-			ix.dropLocked(ix.know)
-			ix.dropLocked(ix.link)
-			ix.dropLocked(ix.knowSpan)
-		}
-		if c.Set.HasAny(rights.RW) {
-			ix.knowfGen++
-			ix.dropLocked(ix.knowf)
-		}
-		ix.mu.Unlock()
-		return true
-	case graph.ChangeAddImplicit:
+	case graph.ChangeAddExplicit, graph.ChangeAddImplicit:
 		// Only admissible paths read implicit labels (the de jure spans and
 		// chains are explicit-view searches).
-		if c.Set.HasAny(rights.RW) {
-			ix.mu.Lock()
-			ix.knowfGen++
-			ix.dropLocked(ix.knowf)
-			ix.mu.Unlock()
+		implicit := c.Kind == graph.ChangeAddImplicit
+		ix.mu.Lock()
+		if !implicit && c.Set.HasAny(rights.TG) {
+			ix.dropShareLocked()
+			ix.dropKnowLocked()
+		} else if !implicit && c.Set.HasAny(rights.RW) {
+			ix.extendKnowLocked(c)
 		}
+		if c.Set.HasAny(rights.RW) {
+			ix.extendKnowFLocked(c, implicit)
+		}
+		ix.mu.Unlock()
 		return true
 	case graph.ChangeRemoveExplicit, graph.ChangeRemoveImplicit:
 		// Removing rights no row family reads cannot shrink any closure.
@@ -189,30 +219,127 @@ func (ix *ReachIndex) Patch(c graph.Change) bool {
 	}
 }
 
+// extendKnowLocked resumes every live know-family row after the explicit
+// r/w add c: link rows first, whose newly accepted subjects then seed
+// their island's span row, then the per-vertex spanner searches. A link
+// or span row past its growth limit drops the family; a know row past its
+// limit, or whose new spanner's island has no live span row, is dropped
+// alone.
+func (ix *ReachIndex) extendKnowLocked(c graph.Change) {
+	ix.knowGen++
+	if len(ix.know)+len(ix.link)+len(ix.knowSpan) == 0 {
+		return
+	}
+	g := ix.g
+	gen := ix.knowGen
+	fresh := make(map[graph.ID][]graph.ID)
+	for root, lr := range ix.link {
+		err := lr.search.AddEdge(g, c.Src, c.Dst, c.Set, false, growLimit(lr.search), func(v graph.ID) {
+			if g.IsSubject(v) && lr.set.AddVertex(v) {
+				lr.ids = append(lr.ids, v)
+				fresh[root] = append(fresh[root], v)
+			}
+		})
+		if err != nil {
+			ix.dropKnowLocked()
+			return
+		}
+		lr.gen = gen
+	}
+	for root, sr := range ix.knowSpan {
+		limit := growLimit(sr.search)
+		add := func(v graph.ID) { sr.set.AddVertex(v) }
+		err := sr.search.AddEdge(g, c.Src, c.Dst, c.Set, false, limit, add)
+		if seeds := fresh[root]; err == nil && len(seeds) > 0 {
+			for _, v := range seeds {
+				sr.set.AddVertex(v)
+			}
+			err = sr.search.AddStarts(g, seeds, limit, add)
+		}
+		if err != nil {
+			ix.dropKnowLocked()
+			return
+		}
+		sr.gen = gen
+	}
+	var spanners []graph.ID
+	for x, kr := range ix.know {
+		spanners = spanners[:0]
+		err := kr.search.AddEdge(g, c.Src, c.Dst, c.Set, false, growLimit(kr.search), func(v graph.ID) {
+			if v != x && g.IsSubject(v) {
+				spanners = append(spanners, v)
+			}
+		})
+		ok := err == nil
+		for _, u := range spanners {
+			if !ok {
+				break
+			}
+			root := g.TGIslands().Root(u)
+			if kr.refs(root) {
+				continue
+			}
+			sr := ix.knowSpan[root]
+			ok = sr != nil
+			if ok {
+				kr.spans = append(kr.spans, sr)
+			}
+		}
+		if !ok {
+			delete(ix.know, x)
+			continue
+		}
+		kr.gen = gen
+	}
+}
+
+// extendKnowFLocked resumes every live knowf row after the r/w add c,
+// adding the definition's implicit-edge base cases an implicit add
+// creates at the row's own vertex. A row past its growth limit is
+// dropped.
+func (ix *ReachIndex) extendKnowFLocked(c graph.Change, implicit bool) {
+	ix.knowfGen++
+	for x, fr := range ix.knowf {
+		err := fr.search.AddEdge(ix.g, c.Src, c.Dst, c.Set, implicit, growLimit(fr.search), func(v graph.ID) {
+			fr.set.AddVertex(v)
+		})
+		if err != nil {
+			delete(ix.knowf, x)
+			continue
+		}
+		if implicit && c.Src == x && c.Set.Has(rights.Read) {
+			fr.set.AddVertex(c.Dst)
+		}
+		if implicit && c.Dst == x && c.Set.Has(rights.Write) {
+			fr.set.AddVertex(c.Src)
+		}
+		fr.gen = ix.knowfGen
+	}
+}
+
 // Invalidate drops every row; subsequent verdicts fall back to budgeted
 // from-scratch builds. Called under the graph's mutation lock.
 func (ix *ReachIndex) Invalidate() {
 	ix.mu.Lock()
-	ix.shareGen++
-	ix.knowGen++
+	ix.dropShareLocked()
+	ix.dropKnowLocked()
 	ix.knowfGen++
-	ix.dropLocked(ix.share)
-	ix.dropLocked(ix.know)
-	ix.dropLocked(ix.knowf)
-	ix.dropLocked(ix.chain)
-	ix.dropLocked(ix.link)
-	ix.dropLocked(ix.shareSpan)
-	ix.dropLocked(ix.knowSpan)
+	clear(ix.knowf)
 	ix.mu.Unlock()
 }
 
-// dropLocked retires one family's rows to the set pool. Callers hold
-// ix.mu under the mutation lock (no concurrent readers).
-func (ix *ReachIndex) dropLocked(rows map[graph.ID]*reachRow) {
-	for k, r := range rows {
-		relang.PutVertexSet(r.set)
-		delete(rows, k)
-	}
+func (ix *ReachIndex) dropShareLocked() {
+	ix.shareGen++
+	clear(ix.share)
+	clear(ix.chain)
+	clear(ix.shareSpan)
+}
+
+func (ix *ReachIndex) dropKnowLocked() {
+	ix.knowGen++
+	clear(ix.know)
+	clear(ix.link)
+	clear(ix.knowSpan)
 }
 
 // IndexStats reports warm bit-test answers (hits), row builds forced by
@@ -296,7 +423,7 @@ func (ix *ReachIndex) CanKnowF(x, y graph.ID, p *obs.Probe, b *budget.Budget) (o
 	if err := b.Charge(1); err != nil {
 		return false, warm, err
 	}
-	return row.set.Has(y), warm, nil
+	return row.set.HasVertex(y), warm, nil
 }
 
 // row fetch ---------------------------------------------------------------
@@ -321,39 +448,37 @@ func (ix *ReachIndex) getRow(rows map[graph.ID]*reachRow, gen *uint64, v graph.I
 	if err != nil {
 		return nil, false, err
 	}
+	return ix.publish(rows, gen, v, r), false, nil
+}
+
+// publish installs a row built under generation r.gen unless a mutation
+// moved the family on meanwhile (impossible under the service's lock
+// discipline, tolerated here: the build is served, nothing published) or
+// a concurrent reader published first, whose row is then adopted.
+func (ix *ReachIndex) publish(rows map[graph.ID]*reachRow, gen *uint64, k graph.ID, r *reachRow) *reachRow {
 	ix.mu.Lock()
-	if *gen != cur {
-		// A mutation slipped between capture and publish (impossible under
-		// the service's lock discipline, tolerated here): serve the build,
-		// publish nothing.
-		ix.mu.Unlock()
-		return r, false, nil
+	defer ix.mu.Unlock()
+	if *gen != r.gen {
+		return r
 	}
-	if old := rows[v]; old != nil {
-		if old.gen == cur {
-			// A concurrent reader published first; adopt its row.
-			ix.mu.Unlock()
-			relang.PutVertexSet(r.set)
-			return old, false, nil
-		}
-		// old is stale: no reader can hold it (staleness only arises under
-		// the mutation lock), so its set may be pooled.
-		relang.PutVertexSet(old.set)
+	if old := rows[k]; old != nil && old.gen == r.gen {
+		return old
 	}
-	rows[v] = r
-	ix.mu.Unlock()
-	return r, false, nil
+	rows[k] = r
+	return r
 }
 
 func (ix *ReachIndex) shareRow(x graph.ID, p *obs.Probe, b *budget.Budget) (*reachRow, bool, error) {
 	return ix.getRow(ix.share, &ix.shareGen, x, p, func(gen uint64) (*reachRow, error) {
-		return ix.buildShareRow(x, gen, b)
+		return ix.buildRefRow(x, gen, b, ix.chain, ix.shareSpan, &ix.shareGen,
+			initialSpanRevNFA, bridgeChainNFA, terminalSpanNFA, false)
 	})
 }
 
 func (ix *ReachIndex) knowRow(x graph.ID, p *obs.Probe, b *budget.Budget) (*reachRow, bool, error) {
 	return ix.getRow(ix.know, &ix.knowGen, x, p, func(gen uint64) (*reachRow, error) {
-		return ix.buildKnowRow(x, gen, b)
+		return ix.buildRefRow(x, gen, b, ix.link, ix.knowSpan, &ix.knowGen,
+			rwInitialSpanRevNFA, linkChainNFA, rwTerminalNFA, true)
 	})
 }
 
@@ -365,64 +490,65 @@ func (ix *ReachIndex) knowfRow(x graph.ID, p *obs.Probe, b *budget.Budget) (*rea
 
 // row construction --------------------------------------------------------
 
-// buildShareRow computes share[x] as span-row references: for each
-// island holding an initial spanner of x, the per-island span row (the
-// island's bridge-chain closure plus its forward terminal spans, t>*).
-// The per-x work shrinks to the local reverse spanner search plus map
-// lookups — the O(E) terminal search runs once per (island, era), not
-// once per query vertex.
-func (ix *ReachIndex) buildShareRow(x graph.ID, gen uint64, b *budget.Budget) (*reachRow, error) {
+// buildRefRow computes a share or know row as span-row references: for
+// each island holding a subject that spans to x under revNFA (x itself
+// when a subject), the per-island span row — the island's chain closure
+// under chainNFA plus its spans under spanNFA. The per-x work shrinks to
+// the local reverse spanner search plus map lookups; the O(E) chain and
+// span searches run once per (island, era), not once per query vertex.
+// keep retains the spanner search for extension. Reflexivity (x ∈ row)
+// is handled by the callers' x == y early returns.
+//
+// For share rows this is Theorem 2.3(ii)-(iii) with initial spanners,
+// bridge chains and terminal spans; for know rows it mirrors
+// KnowClosureInto: rw-initial spanners, B ∪ C link chains and
+// rw-terminal spans.
+func (ix *ReachIndex) buildRefRow(x graph.ID, gen uint64, b *budget.Budget,
+	chainRows, spanRows map[graph.ID]*reachRow, famGen *uint64,
+	revNFA, chainNFA, spanNFA *relang.NFA, keep bool) (*reachRow, error) {
+	g := ix.g
 	ix.rebuilds.Add(1)
-	xPrimes, err := spannersB(ix.g, x, initialSpanRevNFA, true, relang.ViewExplicit, b)
+	search := relang.NewResumable(revNFA, relang.ViewExplicit)
+	var spanners []graph.ID
+	if g.IsSubject(x) {
+		spanners = append(spanners, x)
+	}
+	if _, _, err := search.Start(g, []graph.ID{x}, b, func(v graph.ID) {
+		if v != x && g.IsSubject(v) {
+			spanners = append(spanners, v)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	row := &reachRow{gen: gen}
+	if keep {
+		row.search = search
+	}
+	if len(spanners) == 0 {
+		return row, nil
+	}
+	spans, err := ix.spanRowsFor(chainRows, spanRows, famGen, chainNFA, spanNFA, spanners, gen, b, keep)
 	if err != nil {
 		return nil, err
 	}
-	if len(xPrimes) == 0 {
-		return &reachRow{gen: gen}, nil
-	}
-	spans, err := ix.spanRowsFor(ix.chain, ix.shareSpan, &ix.shareGen,
-		bridgeChainNFA, terminalSpanNFA, xPrimes, gen, b)
-	if err != nil {
-		return nil, err
-	}
-	return &reachRow{gen: gen, spans: spans}, nil
-}
-
-// buildKnowRow computes know[x] as span-row references, mirroring
-// KnowClosureInto: per island of x's rw-initial spanners, the link-chain
-// closure plus its rw-terminal spans. Reflexivity (x ∈ know[x]) is
-// handled by CanKnow's x == y early return.
-func (ix *ReachIndex) buildKnowRow(x graph.ID, gen uint64, b *budget.Budget) (*reachRow, error) {
-	ix.rebuilds.Add(1)
-	u1s, err := spannersB(ix.g, x, rwInitialSpanRevNFA, true, relang.ViewExplicit, b)
-	if err != nil {
-		return nil, err
-	}
-	if len(u1s) == 0 {
-		return &reachRow{gen: gen}, nil
-	}
-	spans, err := ix.spanRowsFor(ix.link, ix.knowSpan, &ix.knowGen,
-		linkChainNFA, rwTerminalNFA, u1s, gen, b)
-	if err != nil {
-		return nil, err
-	}
-	return &reachRow{gen: gen, spans: spans}, nil
+	row.spans = spans
+	return row, nil
 }
 
 // buildKnowFRow computes knowf[x] as the admissible-path closure plus the
-// definition's implicit-edge base cases — KnowFClosureInto verbatim.
+// definition's implicit-edge base cases, as KnowFClosureInto does.
 func (ix *ReachIndex) buildKnowFRow(x graph.ID, gen uint64, b *budget.Budget) (*reachRow, error) {
 	g := ix.g
 	ix.rebuilds.Add(1)
-	ids, err := KnowFClosureInto(g, x, nil, b)
-	if err != nil {
+	set := new(relang.Bitset)
+	set.Reserve(g.Cap())
+	set.AddVertex(x)
+	knowFBaseCases(g.Snapshot(), x, func(v graph.ID) { set.AddVertex(v) })
+	search := relang.NewResumable(admissibleNFA, relang.ViewCombined)
+	if _, _, err := search.Start(g, []graph.ID{x}, b, func(v graph.ID) { set.AddVertex(v) }); err != nil {
 		return nil, err
 	}
-	set := relang.GetVertexSet(g.Cap())
-	for _, v := range ids {
-		set.Add(v)
-	}
-	return &reachRow{gen: gen, set: set}, nil
+	return &reachRow{gen: gen, set: set, search: search}, nil
 }
 
 // spanRowsFor resolves the per-island span rows for the islands of the
@@ -435,126 +561,89 @@ func (ix *ReachIndex) buildKnowFRow(x graph.ID, gen uint64, b *budget.Budget) (*
 // equals the single merged-seed search it replaces: reachability from a
 // seed union is the union of per-seed closures.
 func (ix *ReachIndex) spanRowsFor(chainRows, spanRows map[graph.ID]*reachRow, gen *uint64,
-	chainNFA, spanNFA *relang.NFA, subjects []graph.ID, want uint64, b *budget.Budget) ([]*reachRow, error) {
+	chainNFA, spanNFA *relang.NFA, subjects []graph.ID, want uint64, b *budget.Budget, keep bool) ([]*reachRow, error) {
 	idx := ix.g.TGIslands()
 	out := make([]*reachRow, 0, 2)
-	var seen map[graph.ID]struct{}
 	for _, s := range subjects {
 		root := idx.Root(s)
-		if _, dup := seen[root]; dup {
+		dup := false
+		for _, r := range out {
+			dup = dup || r.root == root
+		}
+		if dup {
 			continue
 		}
-		if seen == nil {
-			seen = make(map[graph.ID]struct{}, 4)
-		}
-		seen[root] = struct{}{}
-
 		ix.mu.Lock()
-		if r := spanRows[root]; r != nil && r.gen == *gen {
-			ix.mu.Unlock()
-			out = append(out, r)
-			continue
+		r := spanRows[root]
+		if r == nil || r.gen != want {
+			r = nil
+		}
+		chain := chainRows[root]
+		if chain == nil || chain.gen != want {
+			chain = nil
 		}
 		ix.mu.Unlock()
-
-		chainRow, err := ix.chainRowFor(chainRows, gen, chainNFA, root, s, want, b)
-		if err != nil {
-			return nil, err
-		}
-		built, err := ix.buildSpanRow(spanNFA, chainRow.ids, want, b)
-		if err != nil {
-			return nil, err
-		}
-		ix.mu.Lock()
-		if *gen == want {
-			if old := spanRows[root]; old != nil && old.gen == want {
-				relang.PutVertexSet(built.set)
-				built = old
-			} else {
-				if old := spanRows[root]; old != nil {
-					relang.PutVertexSet(old.set)
+		if r == nil {
+			if chain == nil {
+				built, err := ix.buildChainRow(chainNFA, root, s, want, b, keep)
+				if err != nil {
+					return nil, err
 				}
-				spanRows[root] = built
+				chain = ix.publish(chainRows, gen, root, built)
 			}
+			built, err := ix.buildSpanRow(spanNFA, root, chain.ids, want, b, keep)
+			if err != nil {
+				return nil, err
+			}
+			r = ix.publish(spanRows, gen, root, built)
 		}
-		ix.mu.Unlock()
-		out = append(out, built)
+		out = append(out, r)
 	}
 	return out, nil
-}
-
-// chainRowFor serves one island's chain row, building it from a single
-// member as seed on a miss (the qcache double-compute idiom, as getRow).
-func (ix *ReachIndex) chainRowFor(rows map[graph.ID]*reachRow, gen *uint64, nfa *relang.NFA,
-	root, seed graph.ID, want uint64, b *budget.Budget) (*reachRow, error) {
-	ix.mu.Lock()
-	if r := rows[root]; r != nil && r.gen == *gen {
-		ix.mu.Unlock()
-		return r, nil
-	}
-	ix.mu.Unlock()
-	built, err := ix.buildChainRow(nfa, seed, want, b)
-	if err != nil {
-		return nil, err
-	}
-	ix.mu.Lock()
-	if *gen == want {
-		if old := rows[root]; old != nil && old.gen == want {
-			relang.PutVertexSet(built.set)
-			built = old
-		} else {
-			if old := rows[root]; old != nil {
-				relang.PutVertexSet(old.set)
-			}
-			rows[root] = built
-		}
-	}
-	ix.mu.Unlock()
-	return built, nil
 }
 
 // buildSpanRow computes one island's span row: the chain-closure
 // subjects themselves (every subject spans itself via the ν span) plus
 // everything they reach under spanNFA.
-func (ix *ReachIndex) buildSpanRow(spanNFA *relang.NFA, seeds []graph.ID, gen uint64, b *budget.Budget) (*reachRow, error) {
+func (ix *ReachIndex) buildSpanRow(spanNFA *relang.NFA, root graph.ID, seeds []graph.ID, gen uint64, b *budget.Budget, keep bool) (*reachRow, error) {
 	g := ix.g
 	ix.rebuilds.Add(1)
-	set := relang.GetVertexSet(g.Cap())
+	set := new(relang.Bitset)
+	set.Reserve(g.Cap())
 	for _, s := range seeds {
-		set.Add(s)
+		set.AddVertex(s)
 	}
-	if len(seeds) > 0 {
-		_, _, err := relang.SearchVisit(g, spanNFA, seeds, relang.Options{View: relang.ViewExplicit, Budget: b},
-			func(v graph.ID) { set.Add(v) })
-		if err != nil {
-			relang.PutVertexSet(set)
-			return nil, err
-		}
+	search := relang.NewResumable(spanNFA, relang.ViewExplicit)
+	if _, _, err := search.Start(g, seeds, b, func(v graph.ID) { set.AddVertex(v) }); err != nil {
+		return nil, err
 	}
-	return &reachRow{gen: gen, set: set}, nil
+	row := &reachRow{gen: gen, set: set, root: root}
+	if keep {
+		row.search = search
+	}
+	return row, nil
 }
 
 // buildChainRow runs one chain search seeded from a single island member
 // and collects the accepted subjects.
-func (ix *ReachIndex) buildChainRow(nfa *relang.NFA, seed graph.ID, gen uint64, b *budget.Budget) (*reachRow, error) {
+func (ix *ReachIndex) buildChainRow(nfa *relang.NFA, root, seed graph.ID, gen uint64, b *budget.Budget, keep bool) (*reachRow, error) {
 	g := ix.g
 	ix.rebuilds.Add(1)
-	set := relang.GetVertexSet(g.Cap())
+	set := new(relang.Bitset)
 	var ids []graph.ID
-	_, _, err := relang.SearchVisit(g, nfa, []graph.ID{seed}, relang.Options{View: relang.ViewExplicit, Budget: b},
-		func(v graph.ID) {
-			if g.IsSubject(v) && set.Add(v) {
-				ids = append(ids, v)
-			}
-		})
-	if err != nil {
-		relang.PutVertexSet(set)
+	// The empty chain ν makes every start a member of its own closure; the
+	// search accepts it too.
+	search := relang.NewResumable(nfa, relang.ViewExplicit)
+	if _, _, err := search.Start(g, []graph.ID{seed}, b, func(v graph.ID) {
+		if g.IsSubject(v) && set.AddVertex(v) {
+			ids = append(ids, v)
+		}
+	}); err != nil {
 		return nil, err
 	}
-	// The empty chain ν makes every start a member of its own closure; the
-	// search accepts it too, this is just belt and braces.
-	if g.IsSubject(seed) && set.Add(seed) {
-		ids = append(ids, seed)
+	row := &reachRow{gen: gen, set: set, root: root, ids: ids}
+	if keep {
+		row.search = search
 	}
-	return &reachRow{gen: gen, set: set, ids: ids}, nil
+	return row, nil
 }

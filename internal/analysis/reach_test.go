@@ -65,8 +65,8 @@ func assertReachMatchesOracle(t *testing.T, g *graph.Graph, ix *ReachIndex, ids 
 // and deletions — and after every step compares all three closure-index
 // predicates against the from-scratch decision procedures on every vertex
 // pair. Warm rows are deliberately populated before each step so monotone
-// mutations exercise the generation-drop path and non-monotone ones the
-// invalidate-and-rebuild path, not just cold builds.
+// mutations exercise the extension and drop paths and non-monotone ones
+// the invalidate-and-rebuild path, not just cold builds.
 func TestReachIndexMatchesOracleUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -131,9 +131,10 @@ func TestReachIndexMatchesOracleUnderMutation(t *testing.T) {
 }
 
 // TestReachIndexWarmHit pins the fast-path contract: the first query at a
-// generation builds rows (a miss), repeats are warm bit-tests, a relevant
-// monotone mutation re-misses once, and an irrelevant mutation (a right
-// outside every chain alphabet) keeps the rows warm.
+// generation builds rows (a miss), repeats are warm bit-tests, an r/w add
+// extends the rows in place and stays warm, a t/g add (which can merge
+// islands) re-misses once, and an irrelevant mutation (a right outside
+// every chain alphabet) keeps the rows warm.
 func TestReachIndexWarmHit(t *testing.T) {
 	u := rights.NewUniverse()
 	e, err := u.Declare("e")
@@ -176,6 +177,37 @@ func TestReachIndexWarmHit(t *testing.T) {
 	}
 	if _, warm, _ = ix.CanShare(rights.Read, a, o, nil, nil); !warm {
 		t.Fatal("removal of uninterpreted right dropped the share rows")
+	}
+
+	// An r/w add is extended into the live rows: the verdicts it changes
+	// are served warm.
+	if ok, _, _ = ix.CanKnow(a, o, nil, nil); !ok {
+		t.Fatal("CanKnow(a,o) = false; a-b one island and b reads o")
+	}
+	ix.CanKnowF(b, o, nil, nil)
+	d := g.MustObject("d")
+	if _, warm, _ = ix.CanKnow(a, d, nil, nil); !warm {
+		t.Fatal("vertex add dropped the know rows")
+	}
+	if err := g.AddExplicit(b, d, rights.Of(rights.Read)); err != nil {
+		t.Fatal(err)
+	}
+	ok, warm, err = ix.CanKnow(a, d, nil, nil)
+	if err != nil || !ok || !warm {
+		t.Fatalf("CanKnow(a,d) after b reads d = (%v, warm=%v, %v); want true, warm", ok, warm, err)
+	}
+	ok, warm, err = ix.CanKnowF(b, d, nil, nil)
+	if err != nil || !ok {
+		t.Fatalf("CanKnowF(b,d) = (%v, %v); want true", ok, err)
+	}
+	if err := g.AddExplicit(a, d, rights.Of(rights.Write)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, warm, _ = ix.CanKnowF(b, d, nil, nil); !ok || !warm {
+		t.Fatalf("CanKnowF(b,d) after a writes d = (%v, warm=%v); want true, warm", ok, warm)
+	}
+	if _, warm, _ = ix.CanShare(rights.Read, a, o, nil, nil); !warm {
+		t.Fatal("r/w add dropped the share rows")
 	}
 
 	// A tg add is in the share alphabet: one miss, then warm again.

@@ -522,6 +522,37 @@ func (g *Graph) In(v ID) []HalfEdge {
 	return in
 }
 
+// AppendOut appends v's out-neighbours and the labels of those edges to
+// dst and lbl, in no particular order, read straight from the live
+// adjacency maps with no snapshot build and no sort. It is for mutation
+// observers (SetRecorder), which run after a change and before any
+// snapshot of the new revision exists; like every read it must not race
+// a mutation. A dead v appends nothing.
+func (g *Graph) AppendOut(v ID, dst []ID, lbl []LabelPair) ([]ID, []LabelPair) {
+	if !g.Valid(v) {
+		return dst, lbl
+	}
+	for w, l := range g.vertices[v].out {
+		dst = append(dst, w)
+		lbl = append(lbl, LabelPair{Explicit: l.explicit, Implicit: l.implicit})
+	}
+	return dst, lbl
+}
+
+// AppendIn is AppendOut for v's in-neighbours; labels read in the
+// neighbour→v direction.
+func (g *Graph) AppendIn(v ID, dst []ID, lbl []LabelPair) ([]ID, []LabelPair) {
+	if !g.Valid(v) {
+		return dst, lbl
+	}
+	for w := range g.vertices[v].in {
+		l := g.vertices[w].out[v]
+		dst = append(dst, w)
+		lbl = append(lbl, LabelPair{Explicit: l.explicit, Implicit: l.implicit})
+	}
+	return dst, lbl
+}
+
 // Edge is a full directed labelled edge, as returned by Edges.
 type Edge struct {
 	Src, Dst ID

@@ -288,3 +288,7 @@ func (s *Snapshot) In(v ID) (dst []ID, lbl []uint32) {
 
 // Label resolves an interned label index from Out or In.
 func (s *Snapshot) Label(i uint32) LabelPair { return s.labels[i] }
+
+// Labels returns the interned label table that Out and In index into.
+// The slice aliases the snapshot's table and must not be mutated.
+func (s *Snapshot) Labels() []LabelPair { return s.labels }

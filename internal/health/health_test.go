@@ -53,16 +53,16 @@ func TestDownAfterThresholdAndHalfOpenRecovery(t *testing.T) {
 		// ok, then 3 failures (threshold), then recovery.
 		"http://a": {nil, boom, boom, boom, nil},
 	}}
-	var mu sync.Mutex
-	var flips []string
+	// The down state lasts a single probe interval before the scripted
+	// recovery, too short to catch by sampling Healthy: the test reads the
+	// transition sequence the prober reports instead.
+	flips := make(chan string, 16)
 	p := New([]string{"http://a"}, Options{
 		Interval:      2 * time.Millisecond,
 		FailThreshold: 3,
 		Probe:         sp.probe,
 		OnTransition: func(peer string, up bool) {
-			mu.Lock()
-			flips = append(flips, fmt.Sprintf("%s=%v", peer, up))
-			mu.Unlock()
+			flips <- fmt.Sprintf("%s=%v", peer, up)
 		},
 	})
 	if !p.Healthy("http://a") {
@@ -71,14 +71,23 @@ func TestDownAfterThresholdAndHalfOpenRecovery(t *testing.T) {
 	p.Start()
 	defer p.Stop()
 
-	waitCond(t, "peer marked down", func() bool { return !p.Healthy("http://a") })
-	waitCond(t, "half-open recovery", func() bool { return p.Healthy("http://a") })
-
-	mu.Lock()
-	got := append([]string(nil), flips...)
-	mu.Unlock()
-	if len(got) < 2 || got[0] != "http://a=false" || got[1] != "http://a=true" {
-		t.Fatalf("transitions = %v, want [http://a=false http://a=true ...]", got)
+	want := []string{"http://a=false", "http://a=true"}
+	var got []string
+	timeout := time.After(5 * time.Second)
+	for len(got) < len(want) {
+		select {
+		case f := <-flips:
+			got = append(got, f)
+		case <-timeout:
+			t.Fatalf("timed out waiting for transitions: got %v, want %v", got, want)
+		}
+	}
+	if got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("transitions = %v, want %v", got, want)
+	}
+	// The script ends on success, so the peer stays up from here on.
+	if !p.Healthy("http://a") {
+		t.Fatal("peer not up after half-open recovery")
 	}
 	st := p.Snapshot()["http://a"]
 	if !st.Up || st.Transitions < 2 {

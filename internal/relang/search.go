@@ -1,6 +1,7 @@
 package relang
 
 import (
+	"errors"
 	"sync"
 
 	"takegrant/internal/budget"
@@ -48,17 +49,15 @@ type Step struct {
 //
 // Internally product states (vertex, nfa-state) are indexed densely as
 // vertex*numStates+state: the search is the hot path under every decision
-// procedure, and slice-indexed parent tracking beats hashing by a wide
-// margin.
+// procedure, and slice-indexed bookkeeping beats hashing by a wide margin.
 type Result struct {
 	g      *graph.Graph
 	n      *NFA
 	states int
 	// parent[idx] is the predecessor product index (selfParent for
 	// starts); steps[idx] is the edge taken (Sym.Right == stepNone for
-	// ε-moves and starts). Both are retained only for Trace searches: the
-	// untraced hot path runs on pooled scratch arrays returned to the pool
-	// before Search returns.
+	// ε-moves and starts). Both exist only for Trace searches: an
+	// untraced search keeps nothing but its visited bits.
 	parent  []int32
 	steps   []Step
 	accepts map[graph.ID]int32 // first accepting product index per vertex
@@ -73,41 +72,213 @@ const (
 	stepNone   = rights.Right(255)
 )
 
-// scratch is the reusable per-search working set. Visited marking uses an
-// epoch stamp instead of refilling parent with "unvisited" on every call:
-// a slot is visited iff stamp[k] == epoch, so starting a search is O(1)
-// after the first use at a given size. Pooled via scratchPool — the
-// decision procedures run several searches per query and millions per
-// benchmark sweep, and the per-call make([]int32, V·Q) was the dominant
-// allocation of the whole analysis layer.
+// ErrGrowthLimit reports that a Resumable extension visited more new
+// product states than its caller allowed. The visited set then holds a
+// partial extension and must be discarded.
+var ErrGrowthLimit = errors.New("relang: extension grew past its limit")
+
+// scratch is the pooled working set of one search run: the visited bits
+// of a one-shot search, the BFS queue, and the buffers an extension reads
+// the live adjacency into. A one-shot search clears the bits it set
+// through its queue before returning, so starting a search is O(1) after
+// the first use at a given size and costs one bit per product state.
 type scratch struct {
-	parent []int32
-	stamp  []uint32
-	epoch  uint32
-	queue  []int32
+	vis   Bitset
+	queue []int32
+	dst   []graph.ID
+	lbl   []graph.LabelPair
+	iota  []uint32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// reset prepares the scratch for a search over size product states.
-func (sc *scratch) reset(size int) {
-	if cap(sc.parent) < size {
-		sc.parent = make([]int32, size)
-		sc.stamp = make([]uint32, size)
-		sc.epoch = 0
-	} else {
-		sc.parent = sc.parent[:size]
-		sc.stamp = sc.stamp[:size]
+// run is the one product-BFS kernel. Every entry point seeds product
+// states into vis and drains its queue here — a one-shot Search or
+// SearchVisit, a Resumable's first build and each of its extensions — so
+// a fresh search is just the extension of an empty visited set. Seeds are
+// starts in the start state plus, when edge is set, the moves across one
+// grown edge. With live set the search reads g's live adjacency maps
+// instead of its snapshot: an extension runs inside a mutation, where the
+// snapshot is stale and rebuilding it is the O(V+E) the extension exists
+// to avoid. With res non-nil acceptance (and, when res carries parent
+// arrays, the witness bookkeeping) is recorded on the Result; otherwise
+// each newly accepted vertex streams to visit. A non-negative limit caps
+// the visited set's size (ErrGrowthLimit past it).
+func run(g *graph.Graph, n *NFA, opts Options, vis *Bitset, live bool, limit int,
+	starts []graph.ID, edge *edgeSeed, res *Result, visit func(graph.ID)) (nVisited, nScanned int, err error) {
+	sc := scratchPool.Get().(*scratch)
+	nq := len(n.states)
+	queue := sc.queue[:0]
+	if vis == nil {
+		vis = &sc.vis
 	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
-		full := sc.stamp[:cap(sc.stamp)]
-		for i := range full {
-			full[i] = 0
+	var snap *graph.Snapshot
+	var labels []graph.LabelPair
+	if !live {
+		snap = g.Snapshot()
+		labels = snap.Labels()
+		vis.Reserve(snap.Cap() * nq)
+	}
+	base := vis.Len()
+	words := vis.words
+	add := func(v graph.ID, st int, par int32, step Step) {
+		i := int(v)*nq + st
+		// vis.Set, spelled out on a local copy of its words: the call does
+		// not inline, and the hot path should not reload through vis.
+		w, m := i>>6, uint64(1)<<(uint(i)&63)
+		if w >= len(words) {
+			vis.Reserve(i + 1)
+			words = vis.words
 		}
-		sc.epoch = 1
+		if words[w]&m != 0 {
+			return
+		}
+		words[w] |= m
+		if res != nil && res.parent != nil {
+			res.parent[i] = par
+			res.steps[i] = step
+		}
+		queue = append(queue, int32(i))
+		if st == n.accept {
+			// The accept product state of v is visited at most once, so
+			// both sinks see each vertex exactly once.
+			if res != nil {
+				if _, seen := res.accepts[v]; !seen {
+					res.accepts[v] = int32(i)
+					res.order = append(res.order, v)
+				}
+			} else if visit != nil {
+				visit(v)
+			}
+		}
 	}
-	sc.queue = sc.queue[:0]
+	noStep := Step{Sym: Symbol{Right: stepNone}}
+	view, allow, bud := opts.View, opts.Allow, opts.Budget
+
+	for _, v := range starts {
+		if (live && g.Valid(v)) || (!live && snap.Live(v)) {
+			add(v, n.start, selfParent, noStep)
+		}
+	}
+	if edge != nil {
+		// The only new moves are across the grown edge: forward from every
+		// visited (src, q), reverse from every visited (dst, q).
+		src, dst := edge.src, edge.dst
+		srcSubj, dstSubj := g.IsSubject(src), g.IsSubject(dst)
+		for q := range n.states {
+			atSrc, atDst := vis.Has(int(src)*nq+q), vis.Has(int(dst)*nq+q)
+			if !atSrc && !atDst {
+				continue
+			}
+			for _, tr := range n.states[q].syms {
+				if !edge.added.Has(tr.sym.Right) {
+					continue
+				}
+				if tr.sym.Dir == Fwd {
+					if atSrc && guardOK(tr.guard, srcSubj, dstSubj) {
+						add(dst, tr.to, selfParent, noStep)
+					}
+				} else if atDst && guardOK(tr.guard, dstSubj, srcSubj) {
+					add(src, tr.to, selfParent, noStep)
+				}
+			}
+		}
+	}
+
+	for head := 0; head < len(queue); head++ {
+		if bud != nil {
+			if cerr := bud.Charge(1); cerr != nil {
+				err = cerr
+				break
+			}
+		}
+		if limit >= 0 && base+len(queue) > limit {
+			err = ErrGrowthLimit
+			break
+		}
+		k := queue[head]
+		v := graph.ID(int(k) / nq)
+		st := &n.states[int(k)%nq]
+		vSubj := subjectIn(g, snap, v)
+		// ε-moves stay on the same vertex.
+		for _, e := range st.eps {
+			if e.needSubject && !vSubj {
+				continue
+			}
+			add(v, e.to, k, noStep)
+		}
+		// Symbol moves traverse edges.
+		if len(st.syms) == 0 {
+			continue
+		}
+		var outDst, inDst []graph.ID
+		var outLbl, inLbl []uint32
+		if live {
+			outDst, outLbl, inDst, inLbl, labels = sc.liveEdges(g, v)
+		} else {
+			outDst, outLbl = snap.Out(v)
+			inDst, inLbl = snap.In(v)
+		}
+		for _, tr := range st.syms {
+			dsts, lbls := outDst, outLbl
+			if tr.sym.Dir != Fwd {
+				dsts, lbls = inDst, inLbl
+			}
+			nScanned += len(dsts)
+			for j, w := range dsts {
+				if !labelFor(labels[lbls[j]], view).Has(tr.sym.Right) {
+					continue
+				}
+				if allow != nil && !allow(w) {
+					continue
+				}
+				// Only a head guard reads w's kind.
+				if tr.guard != GuardNone && !guardOK(tr.guard, vSubj, tr.guard == GuardHeadSubject && subjectIn(g, snap, w)) {
+					continue
+				}
+				add(w, tr.to, k, Step{From: v, To: w, Sym: tr.sym})
+			}
+		}
+	}
+	nVisited = len(queue)
+	if vis == &sc.vis {
+		vis.clearIndices(queue)
+	} else {
+		vis.n += nVisited
+	}
+	sc.queue = queue[:0]
+	scratchPool.Put(sc)
+	return nVisited, nScanned, err
+}
+
+// liveEdges lists v's out- and in-edges from g's live adjacency maps in
+// the snapshot's shape: destinations with indices into a label table,
+// here one label per listed edge. Kept out of line, off the snapshot
+// path's registers.
+func (sc *scratch) liveEdges(g *graph.Graph, v graph.ID) (outDst []graph.ID, outLbl []uint32, inDst []graph.ID, inLbl []uint32, labels []graph.LabelPair) {
+	sc.dst, sc.lbl = g.AppendOut(v, sc.dst[:0], sc.lbl[:0])
+	nOut := len(sc.dst)
+	sc.dst, sc.lbl = g.AppendIn(v, sc.dst, sc.lbl)
+	for len(sc.iota) < len(sc.dst) {
+		sc.iota = append(sc.iota, uint32(len(sc.iota)))
+	}
+	return sc.dst[:nOut], sc.iota[:nOut], sc.dst[nOut:], sc.iota[nOut:len(sc.dst)], sc.lbl
+}
+
+// subjectIn reports whether v is a live subject in snap, or in g's live
+// state when snap is nil.
+func subjectIn(g *graph.Graph, snap *graph.Snapshot, v graph.ID) bool {
+	if snap != nil {
+		return snap.IsSubject(v)
+	}
+	return g.IsSubject(v)
+}
+
+// edgeSeed names the edge an extension resumes across: src→dst gained the
+// rights in added.
+type edgeSeed struct {
+	src, dst graph.ID
+	added    rights.Set
 }
 
 // Search explores the product of the protection graph with the automaton,
@@ -149,129 +320,78 @@ func SearchVisit(g *graph.Graph, n *NFA, starts []graph.ID, opts Options, visit 
 	return searchRun(g, n, starts, opts, nil, visit)
 }
 
-// searchRun is the product-BFS core shared by Search and SearchVisit.
-// With res non-nil it records acceptance (and, when tracing, parents and
-// steps) on the Result; with res nil it streams accepted vertices to visit
-// and leaves no allocation behind beyond pool growth.
+// searchRun is a one-shot search on pooled scratch. With res non-nil it
+// records acceptance (and, when tracing, parents and steps) on the
+// Result; with res nil it streams accepted vertices to visit.
 func searchRun(g *graph.Graph, n *NFA, starts []graph.ID, opts Options, res *Result, visit func(graph.ID)) (nVisited, nScanned int, err error) {
-	snap := g.Snapshot()
-	numStates := len(n.states)
-	size := snap.Cap() * numStates
-
-	var (
-		sc     *scratch
-		parent []int32
-		stamp  []uint32
-		epoch  uint32
-		queue  []int32
-	)
 	if opts.Trace {
 		// Traced searches (witness extraction) keep parent/steps alive on
-		// the Result, so they get fresh arrays; tracing is the cold path.
-		parent = make([]int32, size)
-		stamp = make([]uint32, size)
-		epoch = 1
-		res.parent = parent
+		// the Result; tracing is the cold path.
+		size := g.Snapshot().Cap() * len(n.states)
+		res.parent = make([]int32, size)
 		res.steps = make([]Step, size)
-		queue = make([]int32, 0, len(starts)*2)
-	} else {
-		sc = scratchPool.Get().(*scratch)
-		sc.reset(size)
-		parent, stamp, epoch = sc.parent, sc.stamp, sc.epoch
-		queue = sc.queue
 	}
+	return run(g, n, opts, nil, false, -1, starts, nil, res, visit)
+}
 
-	add := func(v graph.ID, st int, par int32, step Step) {
-		k := int32(int(v)*numStates + st)
-		if stamp[k] == epoch {
-			return
-		}
-		stamp[k] = epoch
-		parent[k] = par
-		if res != nil && res.steps != nil {
-			res.steps[k] = step
-		}
-		queue = append(queue, k)
-		if st == n.accept {
-			// The accept product state of v is enqueued at most once, so
-			// both sinks see each vertex exactly once.
-			if res != nil {
-				if _, seen := res.accepts[v]; !seen {
-					res.accepts[v] = k
-					res.order = append(res.order, v)
-				}
-			} else if visit != nil {
-				visit(v)
-			}
-		}
-	}
-	allowed := func(v graph.ID) bool { return opts.Allow == nil || opts.Allow(v) }
-	noStep := Step{Sym: Symbol{Right: stepNone}}
+// Resumable is a product search whose visited set outlives the call: when
+// the graph grows monotonically, the search resumes from the product
+// states the growth opens up instead of starting over, and reaches
+// exactly the least fixpoint a fresh search of the grown graph would. It
+// costs one bit per product state, vertex-major, so a vertex created
+// later only appends. Long-lived derived indexes keep one per closure row.
+//
+// A Resumable is not safe for concurrent use. Start reads the graph's
+// frozen snapshot; AddStarts and AddEdge read its live adjacency and are
+// meant for mutation observers running under the graph's mutation lock.
+type Resumable struct {
+	n    *NFA
+	view View
+	vis  Bitset
+}
 
-	for _, v := range starts {
-		if !snap.Live(v) {
-			continue
-		}
-		add(v, n.start, selfParent, noStep)
+// NewResumable returns an empty search of n's language over view.
+func NewResumable(n *NFA, view View) *Resumable { return &Resumable{n: n, view: view} }
+
+// Len returns the number of product states visited so far.
+func (r *Resumable) Len() int { return r.vis.Len() }
+
+// States returns the number of automaton states: one vertex's worth of
+// product states.
+func (r *Resumable) States() int { return len(r.n.states) }
+
+// Start seeds starts in the automaton's start state and runs the search
+// to its fixpoint over g's snapshot under budget b, streaming every newly
+// accepted vertex to visit, and returns the work counters of this run.
+// On a fresh Resumable this is a from-scratch search. On a budget error
+// the visited set is partial and the Resumable must be discarded.
+func (r *Resumable) Start(g *graph.Graph, starts []graph.ID, b *budget.Budget, visit func(graph.ID)) (visited, scanned int, err error) {
+	return run(g, r.n, Options{View: r.view, Budget: b}, &r.vis, false, -1, starts, nil, nil, visit)
+}
+
+// AddStarts resumes the search with more start vertices, over g's live
+// adjacency, streaming each newly accepted vertex to visit. A
+// non-negative limit caps the visited set's size: past it the search
+// stops with ErrGrowthLimit and the Resumable must be discarded.
+func (r *Resumable) AddStarts(g *graph.Graph, starts []graph.ID, limit int, visit func(graph.ID)) error {
+	_, _, err := run(g, r.n, Options{View: r.view}, &r.vis, true, limit, starts, nil, nil, visit)
+	return err
+}
+
+// AddEdge resumes the search after the edge src→dst gained the rights in
+// added (to its implicit label when implicit is set), over g's live
+// adjacency, under the same limit and visit contract as AddStarts. The
+// new moves are across that edge: from every visited (src, q) by a
+// forward transition on a right in added, and from every visited (dst, q)
+// by a reverse one, under the usual guards; the search then follows
+// whatever those states open up.
+func (r *Resumable) AddEdge(g *graph.Graph, src, dst graph.ID, added rights.Set, implicit bool, limit int, visit func(graph.ID)) error {
+	if implicit && r.view != ViewCombined {
+		return nil
 	}
-	bud := opts.Budget
-	for head := 0; head < len(queue); head++ {
-		if bud != nil {
-			if cerr := bud.Charge(1); cerr != nil {
-				err = cerr
-				break
-			}
-		}
-		k := queue[head]
-		v := graph.ID(int(k) / numStates)
-		stIdx := int(k) % numStates
-		vSubj := snap.IsSubject(v)
-		// ε-moves stay on the same vertex.
-		for _, e := range n.states[stIdx].eps {
-			if e.needSubject && !vSubj {
-				continue
-			}
-			add(v, e.to, k, noStep)
-		}
-		// Symbol moves traverse edges.
-		st := &n.states[stIdx]
-		if len(st.syms) == 0 {
-			continue
-		}
-		outDst, outLbl := snap.Out(v)
-		inDst, inLbl := snap.In(v)
-		for _, tr := range st.syms {
-			if tr.sym.Dir == Fwd {
-				nScanned += len(outDst)
-				for j, w := range outDst {
-					if !labelFor(snap.Label(outLbl[j]), opts.View).Has(tr.sym.Right) {
-						continue
-					}
-					if !allowed(w) || !guardOK(tr.guard, vSubj, snap.IsSubject(w)) {
-						continue
-					}
-					add(w, tr.to, k, Step{From: v, To: w, Sym: tr.sym})
-				}
-			} else {
-				nScanned += len(inDst)
-				for j, w := range inDst {
-					if !labelFor(snap.Label(inLbl[j]), opts.View).Has(tr.sym.Right) {
-						continue
-					}
-					if !allowed(w) || !guardOK(tr.guard, vSubj, snap.IsSubject(w)) {
-						continue
-					}
-					add(w, tr.to, k, Step{From: v, To: w, Sym: tr.sym})
-				}
-			}
-		}
-	}
-	nVisited = len(queue)
-	if sc != nil {
-		sc.queue = queue // keep the (possibly grown) backing array
-		scratchPool.Put(sc)
-	}
-	return nVisited, nScanned, err
+	_, _, err := run(g, r.n, Options{View: r.view}, &r.vis, true, limit, nil,
+		&edgeSeed{src: src, dst: dst, added: added}, nil, visit)
+	return err
 }
 
 // Visited returns the number of product states (vertex, nfa-state) the

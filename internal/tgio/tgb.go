@@ -10,7 +10,8 @@ package tgio
 //	magic "TGB1"
 //	section 'R'  extra rights beyond the builtin r,w,t,g
 //	section 'V'  live vertices: kind byte + name, densely renumbered
-//	section 'L'  interned label pairs: (explicit, implicit) bitmask uvarints
+//	section 'L'  interned label pairs: (explicit, implicit) bitmask uvarints,
+//	             sorted, so one graph always encodes to the same bytes
 //	section 'E'  edges sorted by (src,dst), varint-delta encoded
 //	section 'Z'  terminator
 //
@@ -33,10 +34,12 @@ package tgio
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"takegrant/internal/graph"
 	"takegrant/internal/rights"
@@ -187,15 +190,24 @@ func EncodeBinary(w io.Writer, g *graph.Graph) error {
 		return err
 	}
 
-	// 'L': the snapshot's interned label table, verbatim.
+	// 'L': the snapshot's interned label table in canonical order, sorted
+	// by (explicit, implicit): the snapshot interns labels in whatever
+	// order its (parallel) build met them, and two encodings of one graph
+	// must be the same bytes. canon maps a snapshot index to its slot.
 	if err := c.begin('L'); err != nil {
 		return err
 	}
-	if err := c.uvarint(uint64(s.NumLabels())); err != nil {
+	labels := slices.Clone(s.Labels())
+	slices.SortFunc(labels, compareLabels)
+	canon := make([]uint32, len(labels))
+	for i, lp := range s.Labels() {
+		j, _ := slices.BinarySearchFunc(labels, lp, compareLabels)
+		canon[i] = uint32(j)
+	}
+	if err := c.uvarint(uint64(len(labels))); err != nil {
 		return err
 	}
-	for i := 0; i < s.NumLabels(); i++ {
-		lp := s.Label(uint32(i))
+	for _, lp := range labels {
 		if err := c.uvarint(uint64(lp.Explicit)); err != nil {
 			return err
 		}
@@ -233,7 +245,7 @@ func EncodeBinary(w io.Writer, g *graph.Graph) error {
 			if err := c.uvarint(uint64(fd - prevDst - 1)); err != nil {
 				return err
 			}
-			if err := c.uvarint(uint64(lbl[j])); err != nil {
+			if err := c.uvarint(uint64(canon[lbl[j]])); err != nil {
 				return err
 			}
 			prevSrc, prevDst = src, fd
@@ -251,6 +263,14 @@ func EncodeBinary(w io.Writer, g *graph.Graph) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// compareLabels orders label pairs by explicit, then implicit rights.
+func compareLabels(a, b graph.LabelPair) int {
+	if c := cmp.Compare(a.Explicit, b.Explicit); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Implicit, b.Implicit)
 }
 
 // crcReader un-frames one section: bytes read accumulate into a CRC32

@@ -20,7 +20,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"takegrant/internal/graph"
@@ -125,50 +125,92 @@ func parseLine(g *graph.Graph, fields []string) error {
 	}
 }
 
-// Write emits the graph in canonical .tg form.
+// Write emits the graph in canonical .tg form: extra rights in
+// declaration order, then vertices, explicit edges and implicit edges,
+// each sorted by vertex name. It runs on every journal snapshot and GET
+// /graph, so it ranks the names once and sorts edges by rank instead of
+// building and comparing per-edge name strings, formats each distinct
+// label once, and appends into one buffer.
 func Write(w io.Writer, g *graph.Graph) error {
 	u := g.Universe()
-	var b strings.Builder
+	s := g.Snapshot()
+	type named struct {
+		name string
+		id   graph.ID
+	}
+	order := make([]named, 0, g.NumVertices())
+	for v := 0; v < s.Cap(); v++ {
+		if s.Live(graph.ID(v)) {
+			order = append(order, named{g.Name(graph.ID(v)), graph.ID(v)})
+		}
+	}
+	slices.SortFunc(order, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	rank := make([]int32, s.Cap())
+	size := 0
+	for i, n := range order {
+		rank[n.id] = int32(i)
+		size += len(n.name) + len("subject \n")
+	}
+
+	// Every edge in (source rank, destination rank) order.
+	type edgeRef struct {
+		dst graph.ID
+		lbl uint32
+	}
+	edges := make([]edgeRef, 0, s.NumEdges())
+	for _, n := range order {
+		dst, lbl := s.Out(n.id)
+		from := len(edges)
+		for j, d := range dst {
+			edges = append(edges, edgeRef{d, lbl[j]})
+		}
+		slices.SortFunc(edges[from:], func(a, b edgeRef) int { return int(rank[a.dst]) - int(rank[b.dst]) })
+	}
+	size += len(edges) * 24
+
+	// Each distinct label formatted once per side.
+	formatted := make([][2]string, s.NumLabels())
+	format := func(li uint32, implicit bool) string {
+		side, set := 0, s.Label(li).Explicit
+		if implicit {
+			side, set = 1, s.Label(li).Implicit
+		}
+		if formatted[li][side] == "" {
+			formatted[li][side] = set.Format(u)
+		}
+		return formatted[li][side]
+	}
+
+	b := make([]byte, 0, size)
 	// Extra rights beyond the builtin four, in declaration order.
 	for _, r := range u.All()[4:] {
-		fmt.Fprintf(&b, "right %s\n", u.Name(r))
+		b = append(append(append(b, "right "...), u.Name(r)...), '\n')
 	}
-	names := make([]string, 0, g.NumVertices())
-	for _, v := range g.Vertices() {
-		names = append(names, g.Name(v))
+	for _, n := range order {
+		b = append(b, g.KindOf(n.id).String()...)
+		b = append(append(append(b, ' '), n.name...), '\n')
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		v, _ := g.Lookup(n)
-		fmt.Fprintf(&b, "%s %s\n", g.KindOf(v), n)
-	}
-	type edgeLine struct{ src, dst, set string }
-	var explicit, implicit []edgeLine
-	for _, e := range g.Edges() {
-		if !e.Explicit.Empty() {
-			explicit = append(explicit, edgeLine{g.Name(e.Src), g.Name(e.Dst), e.Explicit.Format(u)})
+	for _, implicit := range []bool{false, true} {
+		directive := "edge "
+		if implicit {
+			directive = "implicit "
 		}
-		if !e.Implicit.Empty() {
-			implicit = append(implicit, edgeLine{g.Name(e.Src), g.Name(e.Dst), e.Implicit.Format(u)})
-		}
-	}
-	sortEdges := func(es []edgeLine) {
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].src != es[j].src {
-				return es[i].src < es[j].src
+		next := 0
+		for _, n := range order {
+			dst, _ := s.Out(n.id)
+			for _, e := range edges[next : next+len(dst)] {
+				l := s.Label(e.lbl)
+				if (implicit && l.Implicit.Empty()) || (!implicit && l.Explicit.Empty()) {
+					continue
+				}
+				b = append(append(append(b, directive...), n.name...), ' ')
+				b = append(append(append(b, g.Name(e.dst)...), ' '), format(e.lbl, implicit)...)
+				b = append(b, '\n')
 			}
-			return es[i].dst < es[j].dst
-		})
+			next += len(dst)
+		}
 	}
-	sortEdges(explicit)
-	sortEdges(implicit)
-	for _, e := range explicit {
-		fmt.Fprintf(&b, "edge %s %s %s\n", e.src, e.dst, e.set)
-	}
-	for _, e := range implicit {
-		fmt.Fprintf(&b, "implicit %s %s %s\n", e.src, e.dst, e.set)
-	}
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
 }
 
