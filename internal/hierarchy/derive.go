@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"takegrant/internal/analysis"
@@ -94,7 +95,7 @@ const (
 // rw-level structure over the graph's frozen CSR snapshot on flat int32
 // arrays — build the de facto step digraph as a CSR pair (parallel over
 // vertex ranges), run Kosaraju on it, then compute condensation
-// reachability (parallel over levels). Spans: step_digraph, scc, reach.
+// reachability in one topological pass. Spans: step_digraph, scc, reach.
 func AnalyzeRWObs(g *graph.Graph, opt Options) (*Structure, error) {
 	workers := opt.workers()
 	b, p := opt.Budget, opt.Probe
@@ -219,8 +220,7 @@ func AnalyzeRWObs(g *graph.Graph, opt Options) (*Structure, error) {
 		}
 	}
 	sp.Count("vertices", int64(n)).Count("step_edges", int64(total)).End()
-	folded := gr.Visited()
-	if err := b.Charge(folded); err != nil {
+	if err := b.Charge(gr.Visited()); err != nil {
 		return nil, err
 	}
 
@@ -234,15 +234,11 @@ func AnalyzeRWObs(g *graph.Graph, opt Options) (*Structure, error) {
 	}
 
 	sp = p.Span("reach")
-	err = s.computeReachFlat(start, fwd, workers, gr)
-	if err != nil {
+	if err := s.computeReachFlat(start, fwd, b); err != nil {
 		sp.Count("aborted", 1).End()
 		return nil, err
 	}
 	sp.End()
-	if err := b.Charge(gr.Visited() - folded); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -315,77 +311,51 @@ func sccFlat(g *graph.Graph, snap *graph.Snapshot, start []int32, fwd []graph.ID
 				}
 			}
 		}
-		sortIDs(comp)
+		slices.Sort(comp)
 		s.levels = append(s.levels, append([]graph.ID(nil), comp...))
 	}
 	return s, nil
 }
 
-func sortIDs(ids []graph.ID) {
-	// Insertion sort: SCC members arrive nearly ordered (BFS over sorted
-	// CSR listings) and components are small; avoids sort.Slice's closure
-	// allocation on the hot path.
-	for i := 1; i < len(ids); i++ {
-		v := ids[i]
-		j := i - 1
-		for j >= 0 && ids[j] > v {
-			ids[j+1] = ids[j]
-			j--
-		}
-		ids[j+1] = v
-	}
-}
-
-// computeReachFlat fills the condensation reachability matrix from the
-// step CSR: build a deduplicated level adjacency, then BFS one row per
-// level, fanned across workers (rows are independent).
-func (s *Structure) computeReachFlat(start []int32, fwd []graph.ID, workers int, gr *budget.Group) error {
+// computeReachFlat fills the condensation reachability rows from the
+// step CSR in one sequential pass. Kosaraju numbers the levels in
+// topological order, so every level edge i → j has j > i: filling rows in
+// descending i, row i = ∪ (bit j | row j) over its level edges is final
+// once every row it reads is. Charges b one unit per level edge plus one
+// per level.
+func (s *Structure) computeReachFlat(start []int32, fwd []graph.ID, b *budget.Budget) error {
 	L := len(s.levels)
-	adj := make([][]int32, L)
+	s.reach = make([]bitrow, L)
 	mark := make([]int32, L)
 	for i := range mark {
 		mark[i] = -1
 	}
-	for i, lvl := range s.levels {
-		for _, v := range lvl {
+	var adj []int32
+	for i := L - 1; i >= 0; i-- {
+		adj = adj[:0]
+		words := 0
+		for _, v := range s.levels[i] {
 			for k := start[v]; k < start[v+1]; k++ {
 				j := s.of[fwd[k]]
 				if j >= 0 && int(j) != i && mark[j] != int32(i) {
 					mark[j] = int32(i)
-					adj[i] = append(adj[i], j)
+					adj = append(adj, j)
+					words = max(words, int(j)>>6+1, len(s.reach[j]))
 				}
 			}
 		}
+		if err := b.Charge(int64(len(adj) + 1)); err != nil {
+			return err
+		}
+		// Sized for every bit and row it absorbs, so with and or never
+		// reallocate it.
+		row := make(bitrow, words)
+		for _, j := range adj {
+			row.with(int(j)).or(s.reach[j])
+		}
+		s.reach[i] = row
 	}
-	s.reach = make([][]bool, L)
-	return fanOut(workers, L, gr, func(_, lo, hi int, wb *budget.Budget) error {
-		seen := make([]int32, L)
-		for i := range seen {
-			seen[i] = -1
-		}
-		var queue []int32
-		for i := lo; i < hi; i++ {
-			row := make([]bool, L)
-			s.reach[i] = row
-			queue = append(queue[:0], int32(i))
-			seen[i] = int32(i)
-			for len(queue) > 0 {
-				c := queue[0]
-				queue = queue[1:]
-				if err := wb.Charge(int64(len(adj[c]) + 1)); err != nil {
-					return err
-				}
-				for _, j := range adj[c] {
-					if seen[j] != int32(i) {
-						seen[j] = int32(i)
-						row[j] = true
-						queue = append(queue, j)
-					}
-				}
-			}
-		}
-		return nil
-	})
+	return nil
 }
 
 // AnalyzeRWTGObs is AnalyzeRWTG with workers, budget and probe: the

@@ -1,6 +1,8 @@
 package hierarchy
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 
 	"takegrant/internal/budget"
@@ -281,18 +283,16 @@ const (
 )
 
 // addSingleton appends a fresh one-vertex level for v (no order relative
-// to anything yet). No-op if v already has a level.
+// to anything yet): O(1), since its row is nil and no column is stored
+// for it until some level's row reaches it. No-op if v already has a
+// level.
 func (s *Structure) addSingleton(v graph.ID) {
 	if s.LevelOf(v) >= 0 {
 		return
 	}
-	idx := len(s.levels)
+	s.setLevelOf(v, int32(len(s.levels)))
 	s.levels = append(s.levels, []graph.ID{v})
-	s.setLevelOf(v, int32(idx))
-	for i := range s.reach {
-		s.reach[i] = append(s.reach[i], false)
-	}
-	s.reach = append(s.reach, make([]bool, idx+1))
+	s.reach = append(s.reach, nil)
 }
 
 // insertStep patches the structure for a new step edge u → v (u learns
@@ -302,11 +302,11 @@ func (s *Structure) addSingleton(v graph.ID) {
 //
 //   - already implied (same level, or level(u) reaches level(v)): no-op;
 //   - new order, no cycle: Italiano-style transitive insert — every level
-//     reaching u's level absorbs v's row, O(L²) worst case;
+//     reaching u's level ORs in v's row, word by word;
 //   - cycle closed (level(v) already reached level(u)): merge u's level,
 //     v's level and every level between them (reach[j][k] && reach[k][i])
-//     into one, then renumber — exactly the SCC coarsening Lemma 5.1
-//     style monotone reasoning predicts.
+//     into one, then renumber in place — exactly the SCC coarsening Lemma
+//     5.1 style monotone reasoning predicts.
 func (s *Structure) insertStep(u, v graph.ID) stepOutcome {
 	// Defensive: unknown vertices get singleton levels (normally the
 	// AddVertex change precedes any edge mentioning it).
@@ -317,131 +317,123 @@ func (s *Structure) insertStep(u, v graph.ID) stepOutcome {
 		s.addSingleton(v)
 	}
 	i, j := s.LevelOf(u), s.LevelOf(v)
-	if i == j || s.reach[i][j] {
+	if i == j || s.reach[i].has(j) {
 		return stepNoop
 	}
-	if !s.reach[j][i] {
+	if !s.reach[j].has(i) {
 		// Transitive insert: levels a with a == i or reach[a][i] now reach
 		// j and everything j reaches. No cycle can arise: reach[j][x] with
-		// reach[x][i] would imply reach[j][i].
+		// reach[x][i] would imply reach[j][i], so no row gains its own bit
+		// and row j itself is never written.
 		rowJ := s.reach[j]
-		for a := range s.reach {
-			if a != i && !s.reach[a][i] {
-				continue
+		for a, row := range s.reach {
+			if a == i || row.has(i) {
+				s.reach[a] = row.with(j).or(rowJ)
 			}
-			row := s.reach[a]
-			row[j] = true
-			for k, r := range rowJ {
-				if r {
-					row[k] = true
-				}
-			}
-			row[a] = false // preserve the irreflexivity invariant
 		}
 		return stepInsert
 	}
-	// Cycle merge: M = {i, j} ∪ {k : reach[j][k] && reach[k][i]}.
-	n := len(s.levels)
-	inM := make([]bool, n)
-	inM[i], inM[j] = true, true
-	for k := 0; k < n; k++ {
-		if s.reach[j][k] && s.reach[k][i] {
-			inM[k] = true
-		}
-	}
-	// Union row of the merged level. Every member m of M satisfies
-	// reach[j][m] or m == j, so reach[j] already dominates each member's
-	// row by transitivity; union anyway for robustness.
-	union := make([]bool, n)
-	for k := 0; k < n; k++ {
-		if !inM[k] {
-			continue
-		}
-		for x, r := range s.reach[k] {
-			if r {
-				union[x] = true
-			}
-		}
-	}
-	// Levels reaching any member (equivalently, reaching i) absorb the
-	// union row; membership columns are handled by the renumbering below.
-	for a := 0; a < n; a++ {
-		if inM[a] || !s.reach[a][i] {
-			continue
-		}
-		row := s.reach[a]
-		for x, r := range union {
-			if r {
-				row[x] = true
-			}
-		}
-		row[a] = false
-	}
-	// Renumber: the merged level keeps the smallest member index for
-	// stability; survivors compact in order.
-	t := -1
-	for k := 0; k < n; k++ {
-		if inM[k] {
-			t = k
-			break
-		}
-	}
-	newIdx := make([]int32, n)
-	cnt := int32(0)
-	for k := 0; k < n; k++ {
-		if inM[k] && k != t {
-			continue
-		}
-		newIdx[k] = cnt
-		cnt++
-	}
-	tNew := newIdx[t]
-	for k := 0; k < n; k++ {
-		if inM[k] {
-			newIdx[k] = tNew
-		}
-	}
-	nn := int(cnt)
-	newLevels := make([][]graph.ID, nn)
-	newReach := make([][]bool, nn)
-	for k := 0; k < n; k++ {
-		if inM[k] && k != t {
-			continue
-		}
-		nk := newIdx[k]
-		var srcRow []bool
-		if k == t {
-			srcRow = union
-			// The merged level's members: concatenation of all of M.
-			var members []graph.ID
-			for m := 0; m < n; m++ {
-				if inM[m] {
-					members = append(members, s.levels[m]...)
-				}
-			}
-			sortIDs(members)
-			newLevels[nk] = members
-		} else {
-			srcRow = s.reach[k]
-			newLevels[nk] = s.levels[k]
-		}
-		row := make([]bool, nn)
-		for x, r := range srcRow {
-			if r {
-				row[newIdx[x]] = true
-			}
-		}
-		row[nk] = false // member-to-member flow is intra-level now
-		newReach[nk] = row
-	}
-	s.levels = newLevels
-	s.reach = newReach
-	for idx, lvl := range s.levels {
-		for _, v := range lvl {
-			s.of[v] = int32(idx)
-		}
-	}
+	s.merge(i, j)
 	return stepMerge
+}
+
+// merge collapses the cycle the step i → j closed (j already reached i):
+// M = {i, j} ∪ {k : reach[j][k] && reach[k][i]} becomes one level at the
+// smallest member index t, and the other members D are deleted.
+func (s *Structure) merge(i, j int) {
+	mem := []int{i, j}
+	s.reach[j].each(func(k int) {
+		if k != i && s.reach[k].has(i) {
+			mem = append(mem, k)
+		}
+	})
+	slices.Sort(mem)
+	t, drop := mem[0], mem[1:]
+	// j reaches every other member and reach is transitively closed, so
+	// row j is already the union of the members' rows: the merged level's
+	// row. Levels reaching any member (equivalently, reaching i) absorb
+	// it; member columns fold into t when the rows are renumbered below.
+	union := s.reach[j]
+	for a, row := range s.reach {
+		if row.has(i) {
+			s.reach[a] = row.or(union)
+		}
+	}
+	var members []graph.ID
+	for _, m := range mem {
+		members = append(members, s.levels[m]...)
+	}
+	slices.Sort(members)
+	s.levels[t], s.reach[t] = members, union
+	// Delete the dropped levels: only indexes past drop[0] move.
+	n, k := drop[0], 0
+	for x := drop[0]; x < len(s.levels); x++ {
+		if k < len(drop) && drop[k] == x {
+			k++
+			continue
+		}
+		s.levels[n], s.reach[n] = s.levels[x], s.reach[x]
+		n++
+	}
+	clear(s.levels[n:])
+	clear(s.reach[n:])
+	s.levels, s.reach = s.levels[:n], s.reach[:n]
+	for a, row := range s.reach {
+		s.reach[a] = row.dropCols(t, drop)
+	}
+	s.reach[t].clear(t) // member-to-member flow is intra-level now
+	for _, v := range members {
+		s.of[v] = int32(t)
+	}
+	for x := drop[0]; x < n; x++ {
+		for _, v := range s.levels[x] {
+			s.of[v] = int32(x)
+		}
+	}
+}
+
+// dropCols renumbers r's columns for a merge into t: a bit in drop
+// (ascending, every member above t) becomes bit t, and every other bit
+// above drop[0] moves down by the number of dropped columns below it. The
+// row is rewritten in place from drop[0]'s word on; rows that end before
+// it are untouched.
+func (r bitrow) dropCols(t int, drop []int) bitrow {
+	w0 := drop[0] >> 6
+	if w0 >= len(r) {
+		return r
+	}
+	keep := uint64(1)<<(drop[0]&63) - 1
+	hit, k := false, 0
+	for w := w0; w < len(r); w++ {
+		x := r[w]
+		if w == w0 {
+			r[w] = x & keep
+			x &^= keep
+		} else {
+			r[w] = 0
+		}
+		// Targets never exceed their source bit, so they land in words
+		// already rewritten (or this one, whose source bits are in x).
+		for ; x != 0; x &= x - 1 {
+			c := w<<6 | bits.TrailingZeros64(x)
+			for k < len(drop) && drop[k] < c {
+				k++
+			}
+			if k < len(drop) && drop[k] == c {
+				hit = true
+				continue
+			}
+			c -= k
+			r[c>>6] |= 1 << (c & 63)
+		}
+	}
+	if hit {
+		r = r.with(t)
+	}
+	for len(r) > 0 && r[len(r)-1] == 0 {
+		r = r[:len(r)-1]
+	}
+	return r
 }
 
 // EquivalentTo reports whether two structures describe the same level
@@ -467,7 +459,7 @@ func (s *Structure) EquivalentTo(o *Structure) bool {
 	}
 	for i := range s.levels {
 		for j := range s.levels {
-			if s.reach[i][j] != o.reach[perm[i]][perm[j]] {
+			if s.reach[i].has(j) != o.reach[perm[i]].has(perm[j]) {
 				return false
 			}
 		}

@@ -318,3 +318,80 @@ func TestEngineSecureBudget(t *testing.T) {
 		t.Fatalf("roomy budget tripped: %v", err)
 	}
 }
+
+// TestEngineReachTopological pins the premise of the one-pass reach
+// computation: Kosaraju numbers the levels in topological order, so every
+// level edge of the step digraph (stepTargets, the relation the
+// derivation's CSR lists) goes from level i to a level j > i.
+func TestEngineReachTopological(t *testing.T) {
+	graphs := []*graph.Graph{}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		graphs = append(graphs, buildRandomGraph(rng, 20+rng.Intn(300), 40+rng.Intn(600)))
+	}
+	c, err := Military(4, []string{"A", "B", "C"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, c.G)
+	for gi, g := range graphs {
+		s := AnalyzeRW(g)
+		for _, u := range g.Vertices() {
+			for _, v := range stepTargets(g, u) {
+				if i, j := s.LevelOf(u), s.LevelOf(v); j < i {
+					t.Fatalf("graph %d: step %d → %d goes from level %d back to level %d", gi, u, v, i, j)
+				}
+			}
+		}
+	}
+}
+
+// FuzzEngineRearm decodes bytes into a stream of vertex creations,
+// explicit and implicit adds and removals, re-arming the engine after
+// each op whose high bit is clear (so changes also arrive in batches), and
+// checks every re-armed structure against the map-based oracle and
+// Proposition 4.4. Seed corpus: testdata/fuzz/FuzzEngineRearm.
+func FuzzEngineRearm(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*160 {
+			data = data[:4*160]
+		}
+		g := graph.New(nil)
+		e := NewEngine(g, 1)
+		for op := 0; op+4 <= len(data); op += 4 {
+			kind, set := int(data[op]&0x7f)%6, rights.Set(data[op+3]&15)
+			vs := g.Vertices()
+			if kind > 1 && len(vs) < 2 {
+				continue
+			}
+			switch kind {
+			case 0:
+				g.MustSubject(fmt.Sprintf("s%d", op))
+			case 1:
+				g.MustObject(fmt.Sprintf("o%d", op))
+			default:
+				a, b := vs[int(data[op+1])%len(vs)], vs[int(data[op+2])%len(vs)]
+				switch kind {
+				case 2:
+					g.AddExplicit(a, b, set)
+				case 3:
+					g.AddImplicit(a, b, set.Intersect(rights.RW))
+				case 4:
+					g.RemoveExplicit(a, b, set)
+				case 5:
+					g.RemoveImplicit(a, b, set.Intersect(rights.RW))
+				}
+			}
+			if data[op]&0x80 != 0 {
+				continue
+			}
+			s := e.Rearm(nil)
+			if !s.EquivalentTo(AnalyzeRWReference(g)) {
+				t.Fatalf("op %d: engine structure diverged\n%s", op/4, g.String())
+			}
+			if err := s.CheckPartialOrder(); err != nil {
+				t.Fatalf("op %d: %v", op/4, err)
+			}
+		}
+	})
+}

@@ -14,36 +14,8 @@ import (
 // Levels reachable from several parents are printed once and referenced
 // thereafter.
 func (s *Structure) Hasse() string {
-	n := len(s.levels)
-	// covers[i] lists j when i > j with no k between.
-	covers := make([][]int, n)
-	isMax := make([]bool, n)
-	for i := range isMax {
-		isMax[i] = true
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !s.HigherLevel(i, j) {
-				continue
-			}
-			isMax[j] = false
-			direct := true
-			for k := 0; k < n; k++ {
-				if k != i && k != j && s.HigherLevel(i, k) && s.HigherLevel(k, j) {
-					direct = false
-					break
-				}
-			}
-			if direct {
-				covers[i] = append(covers[i], j)
-			}
-		}
-	}
-	for i := range covers {
-		sort.Ints(covers[i])
-	}
 	var b strings.Builder
-	printed := make([]bool, n)
+	printed := make([]bool, len(s.levels))
 	var emit func(level, depth int)
 	emit = func(level, depth int) {
 		indent := strings.Repeat("  ", depth)
@@ -53,14 +25,20 @@ func (s *Structure) Hasse() string {
 		}
 		printed[level] = true
 		fmt.Fprintf(&b, "%s%s\n", indent, s.levelLabel(level))
-		for _, c := range covers[level] {
-			emit(c, depth+1)
-		}
+		// reach is a strict partial order, so HigherLevel is reach itself,
+		// and a level covers the levels in its row that are in no row it
+		// holds; each ascends, so covers print in index order.
+		row := s.reach[level]
+		var below bitrow
+		row.each(func(k int) { below = below.or(s.reach[k]) })
+		row.each(func(c int) {
+			if !below.has(c) {
+				emit(c, depth+1)
+			}
+		})
 	}
-	for i := 0; i < n; i++ {
-		if isMax[i] {
-			emit(i, 0)
-		}
+	for _, i := range s.Maximal() {
+		emit(i, 0)
 	}
 	return b.String()
 }
@@ -100,21 +78,16 @@ func (s *Structure) Minimal() []int { return s.extremal(false) }
 func (s *Structure) Maximal() []int { return s.extremal(true) }
 
 func (s *Structure) extremal(max bool) []int {
-	n := len(s.levels)
-	var out []int
-	for i := 0; i < n; i++ {
-		ext := true
-		for j := 0; j < n; j++ {
-			if max && s.HigherLevel(j, i) {
-				ext = false
-				break
-			}
-			if !max && s.HigherLevel(i, j) {
-				ext = false
-				break
-			}
+	// Minimal levels have empty rows; maximal levels, empty columns.
+	var col bitrow
+	if max {
+		for _, row := range s.reach {
+			col = col.or(row)
 		}
-		if ext {
+	}
+	var out []int
+	for i, row := range s.reach {
+		if (max && !col.has(i)) || (!max && row.empty()) {
 			out = append(out, i)
 		}
 	}

@@ -22,6 +22,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"math/bits"
 
 	"takegrant/internal/graph"
 	"takegrant/internal/rights"
@@ -37,11 +38,66 @@ type Structure struct {
 	// ID — the guard consults it on every rule application, so it is a
 	// flat array load, not a map probe.
 	of []int32
-	// reach[i][j] reports that information can flow from level j to level i
-	// (level i knows level j); i is then higher than or equal to j.
-	// Invariant: reach[i][i] is false (levels already collapse cycles) and
-	// the relation is transitively closed.
-	reach [][]bool
+	// reach[i] is level i's bitset row: bit j is set when information can
+	// flow from level j to level i (level i knows level j, so i is higher
+	// than j). The order is sparse, so rows grow on demand: a bit past a
+	// row's end reads false, and a fresh level's row is nil. Invariant: no
+	// row has its own bit set (levels already collapse cycles) and the
+	// relation is transitively closed, so it is a strict partial order.
+	reach []bitrow
+}
+
+// bitrow is a growable bitset over level indexes.
+type bitrow []uint64
+
+func (r bitrow) has(j int) bool {
+	w := j >> 6
+	return w < len(r) && r[w]&(1<<(j&63)) != 0
+}
+
+// with returns r with bit j set, growing it as needed.
+func (r bitrow) with(j int) bitrow {
+	for j>>6 >= len(r) {
+		r = append(r, 0)
+	}
+	r[j>>6] |= 1 << (j & 63)
+	return r
+}
+
+func (r bitrow) clear(j int) {
+	if w := j >> 6; w < len(r) {
+		r[w] &^= 1 << (j & 63)
+	}
+}
+
+// or returns r ∪ o, growing r to o's length as needed.
+func (r bitrow) or(o bitrow) bitrow {
+	for len(r) < len(o) {
+		r = append(r, 0)
+	}
+	for w, x := range o {
+		r[w] |= x
+	}
+	return r
+}
+
+func (r bitrow) empty() bool {
+	for _, x := range r {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// each calls fn for every set bit, in ascending order.
+func (r bitrow) each(fn func(j int)) {
+	for w, x := range r {
+		for x != 0 {
+			fn(w<<6 | bits.TrailingZeros64(x))
+			x &= x - 1
+		}
+	}
 }
 
 // stepTargets returns the single-step de facto successors of u: the
@@ -84,8 +140,8 @@ type frame struct {
 	i    int
 }
 
-// computeReach fills reach[i][j] = level i reaches level j in the
-// condensation (information flows j → i).
+// computeReach sets bit j of row i when level i reaches level j in the
+// condensation (information flows j → i), one BFS per level.
 func (s *Structure) computeReach(succ func(graph.ID) []graph.ID) {
 	n := len(s.levels)
 	adj := make([]map[int]bool, n)
@@ -101,9 +157,8 @@ func (s *Structure) computeReach(succ func(graph.ID) []graph.ID) {
 			}
 		}
 	}
-	s.reach = make([][]bool, n)
+	s.reach = make([]bitrow, n)
 	for i := 0; i < n; i++ {
-		s.reach[i] = make([]bool, n)
 		queue := []int{i}
 		seen := make([]bool, n)
 		seen[i] = true
@@ -113,7 +168,7 @@ func (s *Structure) computeReach(succ func(graph.ID) []graph.ID) {
 			for j := range adj[c] {
 				if !seen[j] {
 					seen[j] = true
-					s.reach[i][j] = true
+					s.reach[i] = s.reach[i].with(j)
 					queue = append(queue, j)
 				}
 			}
@@ -148,7 +203,7 @@ func (s *Structure) HigherLevel(i, j int) bool {
 	if i == j || i < 0 || j < 0 {
 		return false
 	}
-	return s.reach[i][j] && !s.reach[j][i]
+	return s.reach[i].has(j) && !s.reach[j].has(i)
 }
 
 // Higher reports whether vertex a is strictly higher than vertex b.
@@ -169,7 +224,7 @@ func (s *Structure) Knows(a, b graph.ID) bool {
 	if ia < 0 || ib < 0 {
 		return false
 	}
-	return ia == ib || s.reach[ia][ib]
+	return ia == ib || s.reach[ia].has(ib)
 }
 
 // CheckPartialOrder verifies Proposition 4.4 on this structure: `higher`
