@@ -158,7 +158,9 @@ func (r *Registry) Names() []string {
 // snapshotIndex adapts graph.Snapshot: the frozen CSR view is keyed by
 // revision, so every change is absorbed trivially — a stale snapshot is
 // unreachable the moment the revision moves, and the next Graph.Snapshot
-// call rebuilds. Hit/build counts come from the graph itself.
+// call derives a new one. Counts come from the graph itself: a miss is
+// any read that found the view stale (a refresh or a full build), a
+// rebuild only a build from scratch, such as a compaction.
 type snapshotIndex struct{ g *graph.Graph }
 
 // Snapshot returns the registry adapter for g's frozen CSR snapshot.
@@ -168,8 +170,8 @@ func (snapshotIndex) Name() string            { return "snapshot" }
 func (snapshotIndex) Patch(graph.Change) bool { return true }
 func (snapshotIndex) Invalidate()             {}
 func (s snapshotIndex) IndexStats() (h, m, b uint64) {
-	hits, builds := s.g.SnapshotStats()
-	return hits, builds, builds
+	hits, refreshes, builds := s.g.SnapshotStats()
+	return hits, refreshes + builds, builds
 }
 
 // islandIndex adapts graph.TGIslands: the union-find is maintained

@@ -26,6 +26,7 @@ import (
 func init() {
 	register("E24", e24BulkLoad)
 	register("E25", e25WarmAtScale)
+	register("E26", e26WriteSnapshotAtScale)
 }
 
 // bulkSizes is the E24 curve; the last entry is the design-point world
@@ -222,6 +223,90 @@ func e25WarmAtScale() Table {
 	t.Notes = append(t.Notes,
 		"pass criterion: warm p99 stays ≤ max(3x the 1e4 p99, 500ns) while the world grows 100x, verdicts match the search oracle at 1e4",
 		"samples are 128-query batches: a single warm verdict is tens of ns, under the timer floor")
+	return t
+}
+
+// e26WriteSnapshotAtScale asks what a write costs the CSR snapshot
+// layer on E24's worlds. Corollary 5.7 makes the §5 guard O(1) per rule
+// application, so a write path whose snapshot cost grew with the world
+// would dominate it at scale. Each size times a full build, then makes a
+// write — one create (a new object and its creator's edge) plus one edge
+// add — and times the Snapshot call that folds it in, which refreshes the
+// rows the write dirtied.
+func e26WriteSnapshotAtScale() Table {
+	t := Table{
+		ID:    "E26",
+		Title: "Write-path snapshot cost at scale: refresh vs full CSR build, 1e4 → 1e6",
+		Claim: "a write refreshes the CSR snapshot in time independent of world size, far below the O(V+E) full build",
+		Columns: []string{"vertices", "edges", "full build", "refresh (best of 5)",
+			"refresh (worst of 5)", "refresh/full"},
+		Pass: true,
+	}
+	const trials = 5
+	var refresh []time.Duration
+	var topFull time.Duration
+	for _, n := range bulkSizes {
+		g := bulkGraph(n)
+		var full time.Duration
+		for i := 0; i < trials; i++ {
+			g.RestoreRevision(g.Revision()) // drops the snapshot: the next read builds
+			start := time.Now()
+			g.Snapshot()
+			if d := time.Since(start); i == 0 || d < full {
+				full = d
+			}
+		}
+		subs := g.Subjects()
+		runtime.GC() // the builds' garbage is not the refresh's cost
+		_, refreshes0, _ := g.SnapshotStats()
+		var best, worst time.Duration
+		for i := 0; i < trials; i++ {
+			x, y := subs[i], subs[len(subs)-1-i]
+			o := g.MustObject(fmt.Sprintf("e26-%d", i))
+			if err := g.AddExplicit(x, o, rights.RW); err != nil {
+				panic(err)
+			}
+			if err := g.AddExplicit(x, y, rights.Of(rights.Take)); err != nil {
+				panic(err)
+			}
+			start := time.Now()
+			g.Snapshot()
+			d := time.Since(start)
+			if i == 0 || d < best {
+				best = d
+			}
+			worst = max(worst, d)
+		}
+		if _, refreshes, _ := g.SnapshotStats(); refreshes-refreshes0 != trials {
+			t.Pass = false
+			t.Notes = append(t.Notes, fmt.Sprintf("%d vertices: %d of %d writes refreshed the snapshot",
+				n, refreshes-refreshes0, trials))
+		}
+		refresh = append(refresh, best)
+		topFull = full
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprint(g.NumVertices()), fmt.Sprint(g.NumEdges()),
+			full.Round(time.Microsecond).String(),
+			best.Round(time.Microsecond).String(),
+			worst.Round(time.Microsecond).String(),
+			fmt.Sprintf("%.4f", float64(best)/float64(full)),
+		})
+	}
+	// The writes above moved the retained top-size world, and E25
+	// measures it unmodified: a later E25 decodes it afresh.
+	bulkTop = nil
+	first, last := refresh[0], refresh[len(refresh)-1]
+	if last > 4*first {
+		t.Pass = false
+		t.Notes = append(t.Notes, fmt.Sprintf("1e6 refresh %v > 4x the 1e4 refresh %v: the refresh scales with V", last, first))
+	}
+	if last*100 > topFull {
+		t.Pass = false
+		t.Notes = append(t.Notes, fmt.Sprintf("1e6 refresh %v > 1%% of the 1e6 full build %v", last, topFull))
+	}
+	t.Notes = append(t.Notes,
+		"pass criterion: best-of-5 refresh at 1e6 ≤ 4x the 1e4 figure and ≤ 1% of the 1e6 full build (best of 5)",
+		"the first refresh after a full build grows the edge arrays it appends to, one O(E) copy that the worst-of-5 column shows")
 	return t
 }
 

@@ -9,7 +9,7 @@ func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
 		"E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19",
-		"E20", "E21", "E22", "E23", "E24", "E25"}
+		"E20", "E21", "E22", "E23", "E24", "E25", "E26"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}

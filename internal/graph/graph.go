@@ -82,14 +82,21 @@ type Graph struct {
 	byName   map[string]ID
 	revision uint64
 	live     int
+	numEdges int
 
-	// adjMu guards snap, the lazily built frozen CSR snapshot used by the
-	// search engines and Edges; it is invalidated by revision. The counters
-	// feed SnapshotStats.
-	adjMu      sync.Mutex
-	snap       *Snapshot
-	snapHits   uint64
-	snapBuilds uint64
+	// adjMu guards snap, the frozen CSR snapshot used by the search
+	// engines and Edges; it is stale once the revision moves. Mutations
+	// record in dirty the vertices whose listings they changed, and the
+	// next Snapshot refreshes snap from those rows (snapshot.go);
+	// snapRebuild asks for a build from scratch instead. The counters feed
+	// SnapshotStats.
+	adjMu         sync.Mutex
+	snap          *Snapshot
+	dirty         map[ID]uint8
+	snapRebuild   bool
+	snapHits      uint64
+	snapRefreshes uint64
+	snapBuilds    uint64
 
 	// islMu guards isl, the incrementally maintained tg-island union-find
 	// (see tgisland.go); nil means "rebuild on next use". The counters feed
@@ -156,6 +163,7 @@ func (g *Graph) RestoreRevision(rev uint64) {
 	g.adjMu.Lock()
 	g.revision = rev
 	g.snap = nil
+	g.dirty = nil
 	g.adjMu.Unlock()
 	g.islandInvalidate()
 	g.record(Change{Kind: ChangeDestructive, Src: None, Dst: None})
@@ -169,15 +177,7 @@ func (g *Graph) Cap() int { return len(g.vertices) }
 
 // NumEdges returns the number of directed vertex pairs carrying a non-empty
 // explicit or implicit label.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for i := range g.vertices {
-		if !g.vertices[i].deleted {
-			n += len(g.vertices[i].out)
-		}
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 func (g *Graph) addVertex(name string, kind Kind) (ID, error) {
 	if name == "" {
@@ -194,6 +194,7 @@ func (g *Graph) addVertex(name string, kind Kind) (ID, error) {
 	g.byName[name] = id
 	g.revision++
 	g.live++
+	g.markRows(id, rowsOut|rowsIn)
 	g.islandAddVertex()
 	g.record(Change{Kind: ChangeAddVertex, Src: id, Dst: None})
 	return id, nil
@@ -285,6 +286,8 @@ func (g *Graph) DeleteVertex(id ID) error {
 			g.islandInvalidate()
 		}
 	}
+	g.numEdges -= len(v.out) + len(v.in)
+	g.rebuildSnapshot()
 	for dst := range v.out {
 		delete(g.vertices[dst].in, id)
 	}
@@ -357,7 +360,7 @@ func (g *Graph) addLabel(src, dst ID, set rights.Set, implicit bool) error {
 		return nil
 	}
 	s := &g.vertices[src]
-	l := s.out[dst]
+	l, had := s.out[dst]
 	var added rights.Set
 	if implicit {
 		added = set.Minus(l.implicit)
@@ -377,7 +380,12 @@ func (g *Graph) addLabel(src, dst ID, set rights.Set, implicit bool) error {
 	}
 	d.in[src] = struct{}{}
 	g.revision++
+	if !had {
+		g.numEdges++
+	}
 	if !added.Empty() {
+		g.markRows(src, rowsOut)
+		g.markRows(dst, rowsIn)
 		kind := ChangeAddExplicit
 		if implicit {
 			kind = ChangeAddImplicit
@@ -439,6 +447,7 @@ func (g *Graph) RemoveImplicit(src, dst ID, set rights.Set) error {
 
 // ClearImplicit removes every implicit label in the graph.
 func (g *Graph) ClearImplicit() {
+	g.rebuildSnapshot()
 	for i := range g.vertices {
 		v := &g.vertices[i]
 		if v.deleted {
@@ -453,13 +462,21 @@ func (g *Graph) ClearImplicit() {
 	g.record(Change{Kind: ChangeDestructive, Src: None, Dst: None})
 }
 
+// setLabel replaces the label of the existing edge src→dst, deleting the
+// edge when l is empty.
 func (g *Graph) setLabel(src, dst ID, l label) {
+	if g.vertices[src].out[dst] == l {
+		return
+	}
 	if l.empty() {
 		delete(g.vertices[src].out, dst)
 		delete(g.vertices[dst].in, src)
+		g.numEdges--
 	} else {
 		g.vertices[src].out[dst] = l
 	}
+	g.markRows(src, rowsOut)
+	g.markRows(dst, rowsIn)
 }
 
 // Explicit returns the explicit label of src→dst (empty if no edge).
@@ -586,6 +603,7 @@ func (g *Graph) Clone() *Graph {
 		byName:   make(map[string]ID, len(g.byName)),
 		revision: g.revision,
 		live:     g.live,
+		numEdges: g.numEdges,
 	}
 	for i := range g.vertices {
 		v := &g.vertices[i]
@@ -663,11 +681,12 @@ func kindChar(k Kind) byte {
 }
 
 // Validate checks internal invariants (index consistency, no self-edges,
-// no labels on deleted vertices) and returns the violations found. A healthy
+// no labels on deleted vertices, the edge counter) and returns the violations found. A healthy
 // graph returns nil; a non-nil result indicates a bug in this package or
 // memory corruption by a caller.
 func (g *Graph) Validate() []error {
 	var errs []error
+	edges := 0
 	for i := range g.vertices {
 		v := &g.vertices[i]
 		if v.deleted {
@@ -676,6 +695,7 @@ func (g *Graph) Validate() []error {
 			}
 			continue
 		}
+		edges += len(v.out)
 		if got, ok := g.byName[v.name]; !ok || got != ID(i) {
 			errs = append(errs, fmt.Errorf("vertex %d name index broken (%q)", i, v.name))
 		}
@@ -703,6 +723,9 @@ func (g *Graph) Validate() []error {
 				errs = append(errs, fmt.Errorf("stale reverse index for %d→%d", src, i))
 			}
 		}
+	}
+	if edges != g.numEdges {
+		errs = append(errs, fmt.Errorf("edge counter %d, adjacency holds %d edges", g.numEdges, edges))
 	}
 	return errs
 }

@@ -99,10 +99,10 @@ func (g *Graph) SameTGIsland(a, b ID) bool {
 
 // buildTGIndex is the from-scratch rebuild: one union per explicit
 // subject→subject edge carrying t or g. It streams the revision-cached
-// CSR snapshot's flat edge arrays instead of iterating the adjacency
-// maps — a sequential scan over three arrays rather than a pointer chase
-// through V map headers, and the snapshot is almost always already built
-// for the revision being queried. Lock order: TGIslands holds islMu and
+// CSR snapshot's edge arrays instead of iterating the adjacency maps —
+// array scans rather than a pointer chase through V map headers, and
+// the snapshot is almost always already built for the revision being
+// queried. Lock order: TGIslands holds islMu and
 // Snapshot takes adjMu; no path acquires islMu while holding adjMu, so
 // the nesting is safe.
 func buildTGIndex(g *Graph) *TGIndex {
@@ -119,12 +119,12 @@ func buildTGIndex(g *Graph) *TGIndex {
 		tg[li] = s.labels[li].Explicit.HasAny(rights.TG)
 	}
 	for i := 0; i < n; i++ {
-		if !s.subject[i] {
+		if !s.IsSubject(ID(i)) {
 			continue
 		}
 		dst, lbl := s.Out(ID(i))
 		for j, d := range dst {
-			if tg[lbl[j]] && s.subject[d] {
+			if tg[lbl[j]] && s.IsSubject(d) {
 				x.union(int32(i), int32(d))
 			}
 		}

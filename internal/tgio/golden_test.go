@@ -179,6 +179,75 @@ func TestBinaryEncodingDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodingAfterRefreshMatchesFresh: a graph whose snapshot was
+// refreshed row by row — label indices in refresh order, superseded rows
+// in its arrays, a label pair no edge carries any more still in its
+// table — writes and encodes the same bytes as a clone, whose snapshot
+// is built from scratch.
+func TestEncodingAfterRefreshMatchesFresh(t *testing.T) {
+	g := shuffledWorld(400, 5)
+	tgio.WriteString(g) // the snapshot every later read refreshes
+	rng := rand.New(rand.NewSource(5))
+	var a, b graph.ID
+	for a == b || !g.Valid(a) || !g.Valid(b) {
+		a, b = graph.ID(rng.Intn(g.Cap())), graph.ID(rng.Intn(g.Cap()))
+	}
+	// An edge whose label is a pair no other edge carries (shuffledWorld's
+	// implicit labels hold only r and w), interned by one refresh and
+	// left dead by the next.
+	_ = g.RemoveExplicit(a, b, rights.Set(^uint64(0)))
+	_ = g.RemoveImplicit(a, b, rights.Set(^uint64(0)))
+	lone := rights.Of(rights.Right(4)).Union(rights.Of(rights.Right(5))).Union(rights.TG)
+	if err := g.AddImplicit(a, b, lone); err != nil {
+		t.Fatal(err)
+	}
+	g.Snapshot()
+	if err := g.RemoveImplicit(a, b, lone); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 200; step++ {
+		x, y := graph.ID(rng.Intn(g.Cap())), graph.ID(rng.Intn(g.Cap()))
+		set := rights.Set(1 + rng.Intn(63))
+		switch rng.Intn(4) {
+		case 0:
+			g.MustSubject(fmt.Sprintf("fresh%d", step))
+		case 1:
+			_ = g.AddExplicit(x, y, set)
+		case 2:
+			_ = g.AddImplicit(x, y, rights.R)
+		default:
+			_ = g.RemoveExplicit(x, y, set)
+		}
+		if step%10 == 0 {
+			g.Snapshot()
+		}
+	}
+	fresh := g.Clone()
+	if got, want := tgio.WriteString(g), tgio.WriteString(fresh); got != want {
+		t.Fatalf("Write after refreshes differs from a fresh build's (%d vs %d bytes)", len(got), len(want))
+	}
+	if got, want := encodeGraph(t, g), encodeGraph(t, fresh); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeBinary after refreshes differs from a fresh build's (%d vs %d bytes)", len(got), len(want))
+	}
+	_, refreshes, builds := g.SnapshotStats()
+	if refreshes < 20 || builds != 1 {
+		t.Fatalf("snapshot made %d refreshes and %d full builds; want at least 20 and 1", refreshes, builds)
+	}
+	if g.Snapshot().NumLabels() <= fresh.Snapshot().NumLabels() {
+		t.Fatalf("refreshed table holds %d labels, fresh %d: no dead label was exercised",
+			g.Snapshot().NumLabels(), fresh.Snapshot().NumLabels())
+	}
+}
+
+func encodeGraph(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tgio.EncodeBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func BenchmarkWrite(b *testing.B) {
 	g, err := simulate.GenerateScenario(simulate.ScenarioDocShare, 10000, 1)
 	if err != nil {

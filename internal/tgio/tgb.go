@@ -190,16 +190,30 @@ func EncodeBinary(w io.Writer, g *graph.Graph) error {
 		return err
 	}
 
-	// 'L': the snapshot's interned label table in canonical order, sorted
-	// by (explicit, implicit): the snapshot interns labels in whatever
-	// order its (parallel) build met them, and two encodings of one graph
-	// must be the same bytes. canon maps a snapshot index to its slot.
+	// 'L': the label pairs the edges carry, in canonical order, sorted by
+	// (explicit, implicit). Two encodings of one graph must be the same
+	// bytes, but the snapshot interns labels in whatever order its
+	// (parallel) build or its refreshes met them, and a refreshed table
+	// can still hold pairs no edge carries. canon maps a snapshot index to
+	// its slot.
 	if err := c.begin('L'); err != nil {
 		return err
 	}
-	labels := slices.Clone(s.Labels())
+	used := make([]bool, s.NumLabels())
+	for v := 0; v < s.Cap(); v++ {
+		_, lbl := s.Out(graph.ID(v))
+		for _, li := range lbl {
+			used[li] = true
+		}
+	}
+	var labels []graph.LabelPair
+	for i, lp := range s.Labels() {
+		if used[i] {
+			labels = append(labels, lp)
+		}
+	}
 	slices.SortFunc(labels, compareLabels)
-	canon := make([]uint32, len(labels))
+	canon := make([]uint32, s.NumLabels())
 	for i, lp := range s.Labels() {
 		j, _ := slices.BinarySearchFunc(labels, lp, compareLabels)
 		canon[i] = uint32(j)
